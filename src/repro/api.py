@@ -204,7 +204,6 @@ class Study:
                 store=validation_store,
                 resume=bool(resume) and _existing(validation_store),
                 progress=progress,
-                chunk_size=execution.chunk_size,
                 chunk_policy=execution.chunk_policy,
                 memo=memo,
             )

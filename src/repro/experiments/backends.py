@@ -18,14 +18,16 @@ Two backends are provided:
 * :class:`SerialBackend` — the paper's original nested loop, streaming each
   unit's records as it completes;
 * :class:`ProcessPoolBackend` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out that yields results in completion order.  The driver
-  (:func:`~repro.experiments.runner.run_plan`) reassembles records in
-  canonical unit order, so completion order never leaks into results.
+  fan-out that yields results in completion order.
 
 Both backends execute through the generic :func:`execute_unit` dispatch, so
 any picklable (plan, unit) pair following the ``unit.execute(plan, ...)``
-convention rides the same machinery — the validation campaigns of
-:mod:`repro.experiments.validation` reuse the backends this way.
+convention rides the same machinery.  :func:`drive_units` is the one fan-out
+loop on top of them — resume, memo service, checkpointing, progress and
+reassembly in canonical unit order — which both the sweep
+(:func:`~repro.experiments.runner.run_plan`) and the validation campaigns
+(:func:`~repro.experiments.validation.run_validation`) adapt to their unit
+and record types.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..core.exceptions import ConfigurationError
 from ..generators.workload import generate_configuration_at
 from ..solvers.registry import ensure_default_solvers
 from .config import ExperimentPlan
+from .memo import MemoStats, ResultMemoStore
 from .runner import RunRecord, run_configuration
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "make_backend",
+    "drive_units",
 ]
 
 #: Per-shard wall-clock the adaptive chunk policy aims for.  Large enough
@@ -260,12 +264,6 @@ def _initialize_worker(plan, units: "tuple | None" = None) -> None:
     _WORKER_UNITS = units
 
 
-def _execute_with_worker_plan(unit, *, check: bool = False, capture_allocations: bool = False):
-    return execute_unit(
-        _WORKER_PLAN, unit, check=check, capture_allocations=capture_allocations
-    )
-
-
 def _execute_indexed(position: int, *, check: bool = False, capture_allocations: bool = False):
     """Worker entry point of the index-only submission path.
 
@@ -422,3 +420,101 @@ class ProcessPoolBackend:
                 # not block on in-flight ones — the checkpoint already holds
                 # every unit that was yielded
                 pool.shutdown(wait=False, cancel_futures=True)
+
+
+def drive_units(
+    plan,
+    units: Sequence,
+    *,
+    backend: "ExecutionBackend",
+    store=None,
+    resume: bool = False,
+    progress: "Callable[[str], None] | None" = None,
+    memo: "ResultMemoStore | str | Path | None" = None,
+    study_key: str = "",
+    cell_keys: "Callable[[Any], list[str]]",
+    records_per_cell: int,
+    parse_record: "Callable[[Mapping], Any]",
+    describe: "Callable[[Any, list], str]",
+    check: bool = False,
+    capture_allocations: bool = False,
+) -> "tuple[list, MemoStats | None]":
+    """Run a plan's units to completion: the one fan-out loop of the library.
+
+    The sweep and the validation campaigns supply only what is specific to
+    them: the canonical ``units``, the memo fingerprints (``study_key`` plus
+    ``cell_keys(unit)``: one key per cell, ``records_per_cell`` records
+    each), ``parse_record`` for memo entries and ``describe(unit, records)``
+    for progress text.  Units already in a resumed ``store`` are skipped and
+    units whose every cell is cached are served from ``memo``; the rest
+    stream through ``backend``.  Each finished unit is appended to the store,
+    then written back to the memo, then reported to ``progress`` — a
+    callback that raises (the service's graceful drain) never loses a unit
+    it was told about.  Returns ``(records, memo_stats)`` with records in
+    canonical unit order, whatever the completion order.
+    """
+    if resume and store is None:
+        raise ConfigurationError("resume=True requires a store (the checkpoint to resume from)")
+    if isinstance(memo, (str, Path)):
+        memo = ResultMemoStore(memo)
+    total = len(units)
+    completed: dict[int, list] = {}
+    if store is not None:
+        completed = store.initialize(plan, resume=resume, units=units)
+        if completed and progress is not None:
+            progress(f"[{plan.name}] resumed {len(completed)}/{total} work units from {store.path}")
+    pending = [unit for unit in units if unit.index not in completed]
+
+    memo_stats = None
+    unit_cell_keys: dict[int, list[str]] = {}
+    if memo is not None and pending:
+        memo_stats = MemoStats()
+        still_pending = []
+        for unit in pending:
+            keys = cell_keys(unit)
+            cached = [memo.lookup(study_key, key) for key in keys]
+            if keys and all(entry is not None for entry in cached):
+                records = [parse_record(data) for entry in cached for data in entry]
+                memo_stats.hits += len(keys)
+                completed[unit.index] = records
+                if store is not None:
+                    store.append(unit, records)
+                if progress is not None:
+                    progress(
+                        f"[{plan.name}] work unit {len(completed)}/{total} served "
+                        f"from memo ({describe(unit, records)})"
+                    )
+            else:
+                memo_stats.misses += len(keys)
+                unit_cell_keys[unit.index] = keys
+                still_pending.append(unit)
+        pending = still_pending
+
+    # capture_allocations is passed only when set, so a third-party backend
+    # unaware of the option keeps working for plain sweeps
+    run_kwargs: dict = {"check": check}
+    if capture_allocations:
+        run_kwargs["capture_allocations"] = True
+    for unit, records in backend.run(plan, pending, **run_kwargs):
+        completed[unit.index] = records
+        if store is not None:
+            store.append(unit, records)
+        keys = unit_cell_keys.get(unit.index)
+        # records stream cell-major, one records_per_cell slice per cell
+        if memo is not None and keys is not None and len(records) == len(keys) * records_per_cell:
+            for position, key in enumerate(keys):
+                cell = records[position * records_per_cell : (position + 1) * records_per_cell]
+                memo.put(study_key, key, [record.as_dict() for record in cell])
+        if progress is not None:
+            progress(
+                f"[{plan.name}] work unit {len(completed)}/{total} done "
+                f"({describe(unit, records)})"
+            )
+    missing = [unit.index for unit in units if unit.index not in completed]
+    if missing:
+        raise ConfigurationError(
+            f"backend returned no result for {len(missing)} work unit(s) "
+            f"(indices {missing[:10]}{'...' if len(missing) > 10 else ''}); "
+            f"a conforming backend must yield every unit or raise"
+        )
+    return [record for unit in units for record in completed[unit.index]], memo_stats

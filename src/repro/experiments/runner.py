@@ -14,6 +14,10 @@ Since PR 2 the runner is a thin driver over two collaborating layers:
 * an optional :class:`~repro.experiments.store.SweepStore` that checkpoints
   every completed unit to an append-only JSONL file so an interrupted sweep
   can be resumed with ``resume=True``.
+
+The loop tying them together (resume, memo service, checkpoint, progress,
+canonical reassembly) is :func:`~repro.experiments.backends.drive_units`,
+shared with the validation campaigns.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from ..core.allocation import Allocation, ThroughputSplit
-from ..core.exceptions import ConfigurationError
 from ..generators.workload import Configuration
 from ..utils.rng import derive_seed, stable_text_digest
 from .config import AlgorithmSpec, ExperimentPlan
@@ -410,16 +413,12 @@ def run_plan(
         are written back, and the result's ``memo_stats`` reports hits and
         misses (counted per cell).
     """
-    from .backends import SerialBackend, plan_work_units
-    from .memo import MemoStats, ResultMemoStore, memo_key
+    from .backends import SerialBackend, drive_units, plan_work_units
+    from .memo import memo_key
     from .store import SweepStore
 
-    if resume and store is None:
-        raise ConfigurationError("resume=True requires a store (the checkpoint to resume from)")
     if isinstance(store, (str, Path)):
         store = SweepStore(store)
-    if isinstance(memo, (str, Path)):
-        memo = ResultMemoStore(memo)
     if backend is None:
         backend = SerialBackend()
     elif not isinstance(backend, SerialBackend) and any(
@@ -434,86 +433,30 @@ def run_plan(
             RuntimeWarning,
             stacklevel=2,
         )
-    units = plan_work_units(plan, chunk_size=chunk_size)
-    total = len(units)
-    completed: dict[int, list[RunRecord]] = {}
-    if store is not None:
-        completed = store.initialize(plan, resume=resume, units=units)
-        if completed and progress is not None:
-            progress(f"[{plan.name}] resumed {len(completed)}/{total} work units from {store.path}")
-    pending = [unit for unit in units if unit.index not in completed]
-
-    # memo pre-pass: a unit whose every (configuration, rho) cell is cached
-    # is served without solving; anything else runs and is written back
-    memo_stats = None
-    unit_cell_keys: dict[int, list[str]] = {}
-    records_per_cell = len(plan.algorithms)
-    study_key = (
-        _sweep_memo_study_key(plan, check=check, capture_allocations=capture_allocations)
-        if memo is not None
-        else ""
+    records, memo_stats = drive_units(
+        plan,
+        plan_work_units(plan, chunk_size=chunk_size),
+        backend=backend,
+        store=store,
+        resume=resume,
+        progress=progress,
+        memo=memo,
+        study_key=(
+            _sweep_memo_study_key(plan, check=check, capture_allocations=capture_allocations)
+            if memo is not None
+            else ""
+        ),
+        cell_keys=lambda unit: [
+            memo_key({"configuration": unit.configuration, "rho": float(rho)})
+            for rho in unit.throughputs
+        ],
+        records_per_cell=len(plan.algorithms),
+        parse_record=RunRecord.from_dict,
+        describe=lambda unit, records: (
+            f"configuration {unit.configuration + 1}/{plan.num_configurations}, "
+            f"{len(records)} runs"
+        ),
+        check=check,
+        capture_allocations=capture_allocations,
     )
-    if memo is not None and pending:
-        memo_stats = MemoStats()
-        still_pending = []
-        for unit in pending:
-            keys = [
-                memo_key({"configuration": unit.configuration, "rho": float(rho)})
-                for rho in unit.throughputs
-            ]
-            cached = [memo.lookup(study_key, key) for key in keys]
-            if keys and all(entry is not None for entry in cached):
-                records = [
-                    RunRecord.from_dict(data) for entry in cached for data in entry
-                ]
-                memo_stats.hits += len(keys)
-                completed[unit.index] = records
-                if store is not None:
-                    store.append(unit, records)
-                if progress is not None:
-                    progress(
-                        f"[{plan.name}] work unit {len(completed)}/{total} served "
-                        f"from memo (configuration {unit.configuration + 1}/"
-                        f"{plan.num_configurations}, {len(records)} runs)"
-                    )
-            else:
-                memo_stats.misses += len(keys)
-                unit_cell_keys[unit.index] = keys
-                still_pending.append(unit)
-        pending = still_pending
-
-    run_kwargs: dict = {"check": check}
-    if capture_allocations:
-        run_kwargs["capture_allocations"] = True
-    for unit, records in backend.run(plan, pending, **run_kwargs):
-        completed[unit.index] = records
-        if store is not None:
-            store.append(unit, records)
-        if memo is not None:
-            keys = unit_cell_keys.get(unit.index)
-            # records stream rho-major (algorithms innermost), one slice per cell
-            if keys is not None and len(records) == len(keys) * records_per_cell:
-                for position, key in enumerate(keys):
-                    slice_ = records[
-                        position * records_per_cell : (position + 1) * records_per_cell
-                    ]
-                    memo.put(study_key, key, [record.as_dict() for record in slice_])
-        if progress is not None:
-            progress(
-                f"[{plan.name}] work unit {len(completed)}/{total} done "
-                f"(configuration {unit.configuration + 1}/{plan.num_configurations}, "
-                f"{len(records)} runs)"
-            )
-    # assemble in canonical unit order so serial and parallel sweeps agree
-    missing = [unit.index for unit in units if unit.index not in completed]
-    if missing:
-        raise ConfigurationError(
-            f"backend returned no result for {len(missing)} work unit(s) "
-            f"(indices {missing[:10]}{'...' if len(missing) > 10 else ''}); "
-            f"a conforming backend must yield every unit or raise"
-        )
-    result = SweepResult(plan=plan)
-    for unit in units:
-        result.extend(completed[unit.index])
-    result.memo_stats = memo_stats
-    return result
+    return SweepResult(plan=plan, records=records, memo_stats=memo_stats)

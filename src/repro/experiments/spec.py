@@ -177,12 +177,14 @@ class ExecutionSpec:
     """How a study runs: parallelism, chunking, checkpoint stores, resume.
 
     ``workers`` follows the CLI convention (``None`` = default serial run,
-    ``1`` = explicit serial, ``N`` = process pool of ``N``).  Checkpoint
-    paths can be given explicitly (``sweep_store`` / ``validation_store``) or
-    derived from ``store_dir`` as ``<dir>/<study>-sweep.jsonl`` and
-    ``<dir>/<study>-validation.jsonl``; with ``store_dir`` the study also
-    keeps a ``<dir>/<study>-study.json`` manifest whose fingerprint ties the
-    two checkpoints to the spec that produced them.  None of these fields
+    ``1`` = explicit serial, ``N`` = process pool of ``N``).  ``chunk_size``
+    (throughputs per work unit) shapes the sweep only and ``chunk_policy``
+    the validation campaign only.  Checkpoint paths can be given explicitly
+    (``sweep_store`` / ``validation_store``) or derived from ``store_dir`` as
+    ``<dir>/<study>-sweep.jsonl`` and ``<dir>/<study>-validation.jsonl``;
+    with ``store_dir`` the study also keeps a ``<dir>/<study>-study.json``
+    manifest whose fingerprint ties the two checkpoints to the spec that
+    produced them.  None of these fields
     enters the study fingerprint — re-running with more workers or a
     different checkpoint location is still the same study.
     """
@@ -244,11 +246,6 @@ class ExecutionSpec:
 
             object.__setattr__(self, "chunk_policy", str(self.chunk_policy))
             parse_chunk_policy(self.chunk_policy)  # reject bad policies eagerly
-            if self.chunk_size is not None:
-                raise ConfigurationError(
-                    "chunk_size and chunk_policy are mutually exclusive; "
-                    "pick one way to shape the shards"
-                )
         for field_name in ("store_dir", "sweep_store", "validation_store", "memo_path"):
             object.__setattr__(self, field_name, _as_path_text(getattr(self, field_name)))
         if self.validation_shards is not None:

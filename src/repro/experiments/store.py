@@ -70,6 +70,7 @@ class JsonlCheckpointStore:
     data_description = "sweep"
     store_marker: str | None = None
     run_noun = "sweep"        # "start a fresh <run_noun>" in resume errors
+    sharding_option = "chunk_size"  # the option that shapes this store's units
     plan_noun = "plan"        # "written by a different <plan_noun>"
 
     def __init__(self, path: str | Path) -> None:
@@ -110,7 +111,7 @@ class JsonlCheckpointStore:
         fresh start — it is usually a typo), its fingerprint must match
         ``plan`` and, when the current work-unit list ``units`` is given,
         each checkpointed unit must match its counterpart (same sharding —
-        a different ``chunk_size`` changes what a unit index means);
+        a different :attr:`sharding_option` changes what a unit index means);
         completed units are returned keyed by unit index so the driver can
         skip them.
         """
@@ -170,7 +171,8 @@ class JsonlCheckpointStore:
                 raise ConfigurationError(
                     f"{self.path} was checkpointed with a different work-unit sharding "
                     f"(unit {index}: stored {stored}, current {current}); resume with "
-                    f"the same chunk_size the original run used"
+                    f"the same {self.sharding_option} the original run used, or start a "
+                    f"fresh store (a finished checkpoint still loads as it is)"
                 )
 
     def _load_checkpoint(self, plan) -> tuple:

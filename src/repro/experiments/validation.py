@@ -58,7 +58,7 @@ from ..simulation.scenarios import DEFAULT_SCENARIO, ScenarioSpec
 from ..solvers.registry import ensure_default_solvers
 from ..utils.rng import derive_seed, stable_text_digest
 from ..utils.timing import timed
-from .backends import SerialBackend, backend_width, parse_chunk_policy
+from .backends import SerialBackend, backend_width, drive_units, parse_chunk_policy
 from .config import ExperimentPlan, plan_from_dict, plan_to_dict
 from .memo import MemoStats, ResultMemoStore, memo_key
 from .metrics import SeriesByAlgorithm
@@ -796,7 +796,7 @@ def plan_cells(plan: ValidationPlan) -> list[tuple[float, float, int, int]]:
     campaign's record stream byte-identical to an unchunked one regardless of
     chunk size.
     """
-    source_order = [index for chunk in _source_chunks(plan, None) for index in chunk]
+    source_order = [index for group in _source_groups(plan) for index in group]
     cells: list[tuple[float, float, int, int]] = []
     for horizon in plan.horizons:
         for multiplier in plan.rate_multipliers:
@@ -819,18 +819,14 @@ def _unit_cells(plan: ValidationPlan, unit, cells) -> list[tuple[float, float, i
 
 
 def plan_validation_units(
-    plan: ValidationPlan,
-    *,
-    chunk_size: int | None = None,
-    cells_per_unit: int | None = None,
+    plan: ValidationPlan, *, cells_per_unit: int | None = None
 ) -> list:
     """Shard a campaign into its canonical list of work units.
 
     Two sharding shapes share the same record order:
 
     * the default (``cells_per_unit=None``) emits one :class:`ValidationUnit`
-      per (horizon, multiplier, scenario, configuration) group —
-      ``chunk_size`` optionally bounds the number of sources per unit;
+      per (horizon, multiplier, scenario, configuration) group;
     * ``cells_per_unit=N`` emits :class:`ValidationChunk` spans tiling the
       canonical cell list (:func:`plan_cells`) ``N`` cells at a time — the
       adaptive-sharding shape, whose per-shard cost the driver sizes from a
@@ -840,13 +836,7 @@ def plan_validation_units(
     plan produces exactly the unit list (and indices) of the pre-scenario
     format.
     """
-    if chunk_size is not None and chunk_size <= 0:
-        raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
     if cells_per_unit is not None:
-        if chunk_size is not None:
-            raise ConfigurationError(
-                "chunk_size and cells_per_unit are mutually exclusive"
-            )
         if cells_per_unit <= 0:
             raise ConfigurationError(
                 f"cells_per_unit must be positive, got {cells_per_unit}"
@@ -860,31 +850,25 @@ def plan_validation_units(
     for horizon in plan.horizons:
         for multiplier in plan.rate_multipliers:
             for scenario_index in range(len(plan.scenarios)):
-                for chunk in _source_chunks(plan, chunk_size):
+                for group in _source_groups(plan):
                     units.append(
                         ValidationUnit(
                             index=len(units),
                             horizon=float(horizon),
                             rate_multiplier=float(multiplier),
-                            sources=chunk,
+                            sources=group,
                             scenario=scenario_index,
                         )
                     )
     return units
 
 
-def _source_chunks(plan: ValidationPlan, chunk_size: int | None) -> list[tuple[int, ...]]:
-    """Source indices grouped per sweep configuration, optionally re-chunked."""
+def _source_groups(plan: ValidationPlan) -> list[tuple[int, ...]]:
+    """Source indices grouped per sweep configuration, in configuration order."""
     by_configuration: dict[int, list[int]] = {}
     for index, source in enumerate(plan.sources):
         by_configuration.setdefault(source.configuration, []).append(index)
-    chunks: list[tuple[int, ...]] = []
-    for configuration in sorted(by_configuration):
-        group = by_configuration[configuration]
-        size = len(group) if chunk_size is None else chunk_size
-        for start in range(0, len(group), size):
-            chunks.append(tuple(group[start : start + size]))
-    return chunks
+    return [tuple(by_configuration[configuration]) for configuration in sorted(by_configuration)]
 
 
 # --------------------------------------------------------------------------- #
@@ -1141,6 +1125,7 @@ class ValidationStore(JsonlCheckpointStore):
     data_description = "validation"
     store_marker = "validation"
     run_noun = "campaign"
+    sharding_option = "chunk_policy"
     plan_noun = "validation plan"
 
     _fingerprint = staticmethod(validation_fingerprint)
@@ -1173,7 +1158,7 @@ def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignR
     for index in sorted(completed):
         result.extend(completed[index])
     # compare record counts, not unit counts: the unit count depends on the
-    # chunk_size the checkpointing run used, the record count only on the plan
+    # chunk_policy the checkpointing run used, the record count only on the plan
     expected = plan.num_simulations
     if len(result.records) != expected and not allow_partial:
         raise ConfigurationError(
@@ -1274,86 +1259,60 @@ def _probe_cell_seconds(plan: ValidationPlan, cells) -> float:
     return elapsed * (mean_horizon / probe_horizon)
 
 
-def _chunked_cells_per_unit(
-    plan: ValidationPlan,
-    cells,
-    *,
-    policy: tuple[str, float],
-    backend,
-    store: "ValidationStore | None",
-    resume: bool,
-) -> int:
-    """Pick the cell span per chunk for a policy-driven run.
-
-    On resume against an existing chunked checkpoint the span is recovered
-    from the stored unit dicts (re-probing could pick a different span and
-    the store refuses mismatched sharding); otherwise ``cells:N`` is taken
-    literally and ``target:SECONDS`` divides the target by a measured
-    per-cell cost.  With a multi-worker backend the span is capped so every
-    worker gets several chunks — load balance beats amortisation once chunks
-    are big enough.
-    """
-    if resume and store is not None:
-        stored = store.peek_units()
-        if stored:
-            first = min(stored.values(), key=lambda data: data["index"])
-            if "cells" in first:
-                start, stop = first["cells"]
-                if first["index"] > 0:
-                    return max(1, int(start) // int(first["index"]))
-                return max(1, int(stop) - int(start))
-            # the checkpoint was written unchunked; keep its sharding
-            return 0
-    kind, value = policy
-    if kind == "cells":
-        cells_per_unit = int(value)
-    else:
-        per_cell = _probe_cell_seconds(plan, cells)
-        cells_per_unit = max(1, int(value / per_cell))
-    workers = backend_width(backend)
-    if workers > 1:
-        cells_per_unit = min(
-            cells_per_unit, max(1, math.ceil(len(cells) / (4 * workers)))
-        )
-    return max(1, cells_per_unit)
-
-
 def _plan_units_for_run(
     plan: ValidationPlan,
     *,
     backend,
-    store: "ValidationStore | None",
+    store: "ValidationStore | ShardedStore | None",
     resume: bool,
-    chunk_size: int | None,
     chunk_policy: "str | None",
 ) -> list:
-    """Shard the campaign for one driver run, honouring the chunk policy."""
+    """Shard the campaign for one driver run, honouring the chunk policy.
+
+    Without a policy (or on an empty grid) this is the default per-group
+    sharding.  On resume against an existing checkpoint its sharding is
+    recovered from the stored unit dicts (re-probing could pick a different
+    span and the store refuses mismatched sharding); otherwise ``cells:N`` is
+    taken literally and ``target:SECONDS`` divides the target by a measured
+    per-cell cost.  With a multi-worker backend the span is capped so every
+    worker gets several chunks — load balance beats amortisation once chunks
+    are big enough.
+    """
     policy = parse_chunk_policy(chunk_policy)
     if policy is None:
-        return plan_validation_units(plan, chunk_size=chunk_size)
-    if chunk_size is not None:
-        raise ConfigurationError(
-            "chunk_size and chunk_policy are mutually exclusive; "
-            "pick one way to shape the shards"
-        )
+        return plan_validation_units(plan)
     cells = plan_cells(plan)
     if not cells:
         return plan_validation_units(plan)
-    cells_per_unit = _chunked_cells_per_unit(
-        plan, cells, policy=policy, backend=backend, store=store, resume=resume
-    )
-    if cells_per_unit == 0:  # resuming an unchunked checkpoint
-        return plan_validation_units(plan)
-    return plan_validation_units(plan, cells_per_unit=cells_per_unit)
+    stored = store.peek_units() if resume and store is not None else {}
+    if stored:
+        first = min(stored.values(), key=lambda data: data["index"])
+        if "cells" not in first:  # the checkpoint was written unchunked
+            return plan_validation_units(plan)
+        start, stop = first["cells"]
+        span = int(start) // int(first["index"]) if first["index"] > 0 else int(stop) - int(start)
+        return plan_validation_units(plan, cells_per_unit=max(1, span))
+    kind, value = policy
+    if kind == "cells":
+        cells_per_unit = int(value)
+    else:
+        cells_per_unit = int(value / _probe_cell_seconds(plan, cells))
+    workers = backend_width(backend)
+    if workers > 1:
+        cells_per_unit = min(cells_per_unit, math.ceil(len(cells) / (4 * workers)))
+    return plan_validation_units(plan, cells_per_unit=max(1, cells_per_unit))
 
 
-def _unit_label(plan: ValidationPlan, unit) -> str:
+def _describe_unit(plan: ValidationPlan, unit, records: list) -> str:
+    """The progress text of one campaign unit."""
     if isinstance(unit, ValidationChunk):
-        return f"cells {unit.start}..{unit.stop}"
-    return (
-        f"horizon {unit.horizon:g}, rate x{unit.rate_multiplier:g}, "
-        f"scenario {plan.scenarios[unit.scenario].name}"
-    )
+        label = f"cells {unit.start}..{unit.stop}"
+    else:
+        label = (
+            f"horizon {unit.horizon:g}, rate x{unit.rate_multiplier:g}, "
+            f"scenario {plan.scenarios[unit.scenario].name}"
+        )
+    return f"{label}, {len(records)} simulations"
 
 
 def run_validation(
@@ -1363,115 +1322,59 @@ def run_validation(
     store: "ValidationStore | ShardedStore | str | Path | None" = None,
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
-    chunk_size: int | None = None,
     chunk_policy: "str | None" = None,
     memo: "ResultMemoStore | str | Path | None" = None,
 ) -> CampaignResult:
     """Execute a validation campaign and collect every record.
 
-    The exact counterpart of :func:`~repro.experiments.runner.run_plan`: the
+    The counterpart of :func:`~repro.experiments.runner.run_plan`, over the
+    same fan-out loop (:func:`~repro.experiments.backends.drive_units`): the
     campaign is sharded into work units, streamed through an
     :class:`~repro.experiments.backends.ExecutionBackend` (serial by default,
     pass a :class:`~repro.experiments.backends.ProcessPoolBackend` to
     parallelise), optionally checkpointed per unit into a
-    :class:`ValidationStore` and resumable with ``resume=True``.  Records are
-    reassembled in canonical unit order, so backend choice and completion
-    order never change the result — the simulation itself is deterministic.
+    :class:`ValidationStore` (or a :class:`ShardedStore` directory) and
+    resumable with ``resume=True``.  Records are reassembled in canonical
+    unit order, so backend choice and completion order never change the
+    result — the simulation itself is deterministic.
 
-    ``chunk_policy`` (``'adaptive'``, ``'target:SECONDS'`` or ``'cells:N'``)
-    switches sharding from one unit per grid cell to contiguous
-    :class:`ValidationChunk` spans of the canonical cell list, sized so each
-    shard amortises the pool's fork/pickle overhead; record bytes are
-    identical either way.  ``memo`` attaches a
-    :class:`~repro.experiments.memo.ResultMemoStore`: cells whose
+    ``chunk_policy`` is the one sharding knob: ``None`` keeps one
+    :class:`ValidationUnit` per (horizon, multiplier, scenario,
+    configuration) group, while ``'adaptive'``, ``'target:SECONDS'`` or
+    ``'cells:N'`` shard into contiguous :class:`ValidationChunk` spans of the
+    canonical cell list, sized so each shard amortises the pool's
+    fork/pickle overhead; record bytes are identical either way.  ``memo``
+    attaches a :class:`~repro.experiments.memo.ResultMemoStore`: cells whose
     ``(study, cell)`` fingerprints are cached are served without simulating,
     freshly computed cells are written back, and the result's ``memo_stats``
     reports hits/misses.
     """
-    if resume and store is None:
-        raise ConfigurationError("resume=True requires a store (the checkpoint to resume from)")
     if isinstance(store, (str, Path)):
         # a directory is a sharded store root; a file path a single store
         if Path(store).is_dir():
             store = ShardedStore(store, store_type=ValidationStore)
         else:
             store = ValidationStore(store)
-    if isinstance(memo, (str, Path)):
-        memo = ResultMemoStore(memo)
     if backend is None:
         backend = SerialBackend()
     units = _plan_units_for_run(
+        plan, backend=backend, store=store, resume=resume, chunk_policy=chunk_policy
+    )
+    cells = plan_cells(plan) if memo is not None else []
+    records, memo_stats = drive_units(
         plan,
+        units,
         backend=backend,
         store=store,
         resume=resume,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
+        progress=progress,
+        memo=memo,
+        study_key=_memo_study_key(plan) if memo is not None else "",
+        cell_keys=lambda unit: [
+            _memo_cell_key(plan, cell) for cell in _unit_cells(plan, unit, cells)
+        ],
+        records_per_cell=1,
+        parse_record=ValidationRecord.from_dict,
+        describe=lambda unit, records: _describe_unit(plan, unit, records),
     )
-    total = len(units)
-    completed: dict[int, list[ValidationRecord]] = {}
-    if store is not None:
-        completed = store.initialize(plan, resume=resume, units=units)
-        if completed and progress is not None:
-            progress(
-                f"[{plan.name}] resumed {len(completed)}/{total} work units from {store.path}"
-            )
-    pending = [unit for unit in units if unit.index not in completed]
-
-    memo_stats: "MemoStats | None" = None
-    unit_cell_keys: dict[int, list[str]] = {}
-    study_key = _memo_study_key(plan) if memo is not None else ""
-    if memo is not None and pending:
-        memo_stats = MemoStats()
-        cells = plan_cells(plan)
-        still_pending: list = []
-        for unit in pending:
-            keys = [_memo_cell_key(plan, cell) for cell in _unit_cells(plan, unit, cells)]
-            cached = [memo.lookup(study_key, key) for key in keys]
-            if keys and all(entry is not None for entry in cached):
-                records = [
-                    ValidationRecord.from_dict(entry[0]) for entry in cached
-                ]
-                memo_stats.hits += len(keys)
-                completed[unit.index] = records
-                if store is not None:
-                    store.append(unit, records)
-                if progress is not None:
-                    progress(
-                        f"[{plan.name}] work unit {len(completed)}/{total} served "
-                        f"from memo ({_unit_label(plan, unit)}, "
-                        f"{len(records)} simulations)"
-                    )
-            else:
-                memo_stats.misses += len(keys)
-                unit_cell_keys[unit.index] = keys
-                still_pending.append(unit)
-        pending = still_pending
-
-    for unit, records in backend.run(plan, pending, check=False):
-        completed[unit.index] = records
-        if store is not None:
-            store.append(unit, records)
-        if memo is not None:
-            keys = unit_cell_keys.get(unit.index)
-            if keys is not None and len(keys) == len(records):
-                for key, record in zip(keys, records):
-                    memo.put(study_key, key, [record.as_dict()])
-        if progress is not None:
-            progress(
-                f"[{plan.name}] work unit {len(completed)}/{total} done "
-                f"({_unit_label(plan, unit)}, "
-                f"{len(records)} simulations)"
-            )
-    missing = [unit.index for unit in units if unit.index not in completed]
-    if missing:
-        raise ConfigurationError(
-            f"backend returned no result for {len(missing)} work unit(s) "
-            f"(indices {missing[:10]}{'...' if len(missing) > 10 else ''}); "
-            f"a conforming backend must yield every unit or raise"
-        )
-    result = CampaignResult(plan=plan)
-    for unit in units:
-        result.extend(completed[unit.index])
-    result.memo_stats = memo_stats
-    return result
+    return CampaignResult(plan=plan, records=records, memo_stats=memo_stats)

@@ -24,6 +24,7 @@ from .errors import (
     Conflict,
     MethodNotAllowed,
     NotFound,
+    PayloadTooLarge,
     ServiceError,
 )
 from .jobs import Job, JobJournalStore, JobManager
@@ -39,6 +40,7 @@ __all__ = [
     "JobManager",
     "MethodNotAllowed",
     "NotFound",
+    "PayloadTooLarge",
     "Router",
     "ServiceError",
     "ServiceMetrics",

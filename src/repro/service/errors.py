@@ -14,6 +14,7 @@ __all__ = [
     "NotFound",
     "MethodNotAllowed",
     "Conflict",
+    "PayloadTooLarge",
 ]
 
 
@@ -50,3 +51,10 @@ class Conflict(ServiceError):
 
     status = 409
     code = "conflict"
+
+
+class PayloadTooLarge(ServiceError):
+    """The request body exceeds the service's size limit (HTTP 413)."""
+
+    status = 413
+    code = "payload-too-large"

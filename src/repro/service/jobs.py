@@ -192,10 +192,11 @@ class JobManager:
     ``jobs`` bounds how many studies execute concurrently (each may itself
     fan out over ``workers`` processes).  ``submit`` is the dedup point:
     under one lock, an already-known fingerprint attaches to the existing
-    job — whatever its state — and a new one is journaled and queued.  All
-    jobs share one memo cache (safe: :class:`ResultMemoStore` appends under
-    an advisory file lock), so a study submitted twice — even across
-    restarts or store roots — is answered from cache without recompute.
+    job — unless it failed, which starts a new attempt — and a new one is
+    journaled and queued.  All jobs share one memo cache (safe:
+    :class:`ResultMemoStore` appends under an advisory file lock), so a study
+    submitted twice — even across restarts or store roots — is answered from
+    cache without recompute.
     """
 
     def __init__(
@@ -233,19 +234,27 @@ class JobManager:
 
         Deduplication is by study fingerprint: concurrent identical
         submissions race for one lock and all but the first attach to the
-        winner's job, so the study executes exactly once.
+        winner's job, so the study executes exactly once.  A resubmitted
+        study whose job has *failed* starts a new, journaled attempt under
+        the same job id (back to ``queued``, error cleared) instead.
         """
         fingerprint = study_fingerprint(spec)
         job_id = fingerprint[:16]
         with self._lock:
-            existing = self._jobs.get(job_id)
-            if existing is not None:
+            job = self._jobs.get(job_id)
+            if job is None:
+                job = Job(job_id, spec, fingerprint, self.store_root / "studies" / job_id)
+                self._jobs[job_id] = job
+                self._order.append(job_id)
+            elif job.state == "failed" and job.finished.is_set():
+                # finished is set last, after the failure is journaled, so
+                # the retry's "submitted" line always follows the "failed" one
+                job.state, job.error = "queued", None
+                job.finished.clear()
+            else:
                 if self.metrics is not None:
                     self.metrics.increment("jobs_attached")
-                return existing, False
-            job = Job(job_id, spec, fingerprint, self.store_root / "studies" / job_id)
-            self._jobs[job_id] = job
-            self._order.append(job_id)
+                return job, False
         if journal:
             self.journal.record(job_id, "submitted", fingerprint=fingerprint, spec=spec.as_dict())
         if self.metrics is not None:

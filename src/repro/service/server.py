@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from ..utils.timing import timed
-from .errors import ServiceError
+from .errors import BadRequest, PayloadTooLarge, ServiceError
 from .jobs import JobManager
 from .metrics import ServiceMetrics
 from .routes import Router
@@ -28,6 +28,9 @@ from .routes import Router
 __all__ = ["StudyService", "serve"]
 
 DEFAULT_REQUEST_TIMEOUT = 30.0
+
+#: Largest request body the service reads; a StudySpec is a few KiB.
+MAX_BODY_BYTES = 1 << 20
 
 
 class StudyService(ThreadingHTTPServer):
@@ -102,7 +105,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return  # client gone or socket timed out: nothing left to answer
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            # the body's extent is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise BadRequest(f"invalid Content-Length header {text!r}")
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body must not parse as a request
+            raise PayloadTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         return self.rfile.read(length) if length > 0 else b""
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002

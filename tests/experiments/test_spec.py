@@ -138,10 +138,6 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="unknown chunk policy"):
             ExecutionSpec(chunk_policy="target:-1")
 
-    def test_chunk_size_and_chunk_policy_conflict(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            ExecutionSpec(chunk_size=2, chunk_policy="adaptive")
-
     def test_memo_path_requires_memo(self):
         with pytest.raises(ConfigurationError, match="memo_path requires"):
             ExecutionSpec(memo_path="cache/memo.jsonl")

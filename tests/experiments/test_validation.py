@@ -175,10 +175,6 @@ class TestUnits:
             }
             assert len(configurations) == 1
 
-    def test_invalid_chunk_size_rejected(self, campaign_plan):
-        with pytest.raises(ConfigurationError):
-            plan_validation_units(campaign_plan, chunk_size=0)
-
 
 class TestCampaignExecution:
     def test_parallel_byte_identical_to_serial(self, campaign_plan, serial_campaign):
@@ -186,7 +182,7 @@ class TestCampaignExecution:
         assert record_lines(parallel) == record_lines(serial_campaign)
 
     def test_chunked_byte_identical_to_serial(self, campaign_plan, serial_campaign):
-        chunked = run_validation(campaign_plan, chunk_size=1)
+        chunked = run_validation(campaign_plan, chunk_policy="cells:1")
         assert record_lines(chunked) == record_lines(serial_campaign)
 
     def test_resume_byte_identical_to_serial(self, tmp_path, campaign_plan, serial_campaign):
@@ -252,10 +248,6 @@ class TestCampaignExecution:
             campaign_plan, chunk_policy="cells:3", backend=ProcessPoolBackend(2)
         )
         assert record_lines(pooled) == record_lines(serial_campaign)
-
-    def test_chunk_size_and_chunk_policy_conflict(self, campaign_plan):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            run_validation(campaign_plan, chunk_size=1, chunk_policy="cells:2")
 
     def test_unknown_chunk_policy_rejected(self, campaign_plan):
         with pytest.raises(ConfigurationError, match="unknown chunk policy"):
@@ -532,10 +524,10 @@ class TestValidationStore:
         assert record_lines(load_campaign(path))
 
     def test_chunked_checkpoint_loads_complete(self, tmp_path, campaign_plan, serial_campaign):
-        # a finished campaign checkpointed with a non-default chunk_size must
+        # a finished campaign checkpointed with a non-default chunk_policy must
         # load as complete — completeness is about simulations, not unit count
         path = tmp_path / "campaign.jsonl"
-        run_validation(campaign_plan, store=ValidationStore(path), chunk_size=1)
+        run_validation(campaign_plan, store=ValidationStore(path), chunk_policy="cells:1")
         loaded = load_campaign(path)
         assert record_lines(loaded) == record_lines(serial_campaign)
 

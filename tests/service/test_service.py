@@ -8,6 +8,7 @@ to the identical final result, and every error path answers structured JSON
 with the right status code.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -89,6 +90,20 @@ def request(server, method, path, body=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def raw_post(server, headers):
+    """POST /v1/studies with verbatim headers and no body (http.client)."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        connection.putrequest("POST", "/v1/studies", skip_accept_encoding=True)
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def submit(server, spec_dict):
@@ -178,6 +193,21 @@ class TestEndpoints:
         )
         assert status == 400 and "invalid study spec" in payload["message"]
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", " "])
+    def test_malformed_content_length_is_a_bad_request(self, service, length):
+        status, payload = raw_post(service, {"Content-Length": length})
+        assert (status, payload["error"]) == (400, "bad-request")
+        assert "Content-Length" in payload["message"]
+        # the server is still healthy after closing that connection
+        assert request(service, "GET", "/healthz")[0] == 200
+
+    def test_oversized_body_is_refused_unread(self, service):
+        from repro.service.server import MAX_BODY_BYTES
+
+        status, payload = raw_post(service, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert (status, payload["error"]) == (413, "payload-too-large")
+        assert request(service, "GET", "/healthz")[0] == 200
+
     def test_trailing_slash_and_query_string_are_tolerated(self, service):
         assert request(service, "GET", "/healthz/")[0] == 200
         assert request(service, "GET", "/healthz?verbose=1")[0] == 200
@@ -218,6 +248,37 @@ class TestEndpoints:
             with pytest.raises(Conflict, match="failed"):
                 router.dispatch("GET", f"/v1/studies/{job.id}/results")
             assert metrics.counter("jobs_failed") == 1
+        finally:
+            manager.shutdown()
+
+
+    def test_resubmitting_a_failed_study_starts_a_new_attempt(self, tmp_path, monkeypatch):
+        import repro.api
+
+        metrics = ServiceMetrics()
+        root = tmp_path / "state"
+        manager = JobManager(root, jobs=1, metrics=metrics)
+        try:
+            real_from_spec = repro.api.Study.from_spec
+
+            def explode(spec):
+                raise RuntimeError("transient failure")
+
+            monkeypatch.setattr(repro.api.Study, "from_spec", staticmethod(explode))
+            spec = StudySpec.from_dict(tiny_spec_dict("svc-retry"))
+            job, created = manager.submit(spec)
+            assert created and job.wait(timeout=120) and job.state == "failed"
+
+            monkeypatch.setattr(repro.api.Study, "from_spec", real_from_spec)
+            retry, created = manager.submit(spec)
+            assert created and retry is job
+            assert retry.wait(timeout=120) and retry.state == "done"
+            assert retry.error is None
+            assert metrics.counter("jobs_submitted") == 2
+            assert metrics.counter("jobs_attached") == 0
+            # last-state-wins replay sees the successful retry
+            entries = JobJournalStore(root / "jobs.jsonl").load()
+            assert [(e["id"], e["state"]) for e in entries] == [(job.id, "done")]
         finally:
             manager.shutdown()
 
