@@ -146,6 +146,10 @@ class WorkUnitContractRule(Rule):
         return False
 
 
+#: The durable JSONL writers of :mod:`repro.io` (one row, or one fsynced batch).
+_JSONL_WRITERS = ("append_jsonl", "append_jsonl_rows")
+
+
 @register
 class CheckpointHygieneRule(Rule):
     """RL004 — append-mode JSON writes in ``experiments/``/``service/`` go through stores.
@@ -154,9 +158,10 @@ class CheckpointHygieneRule(Rule):
     torn-tail repair, resume-by-skipping) live in
     :class:`~repro.experiments.store.JsonlCheckpointStore`; the service's
     job journal (``JobJournalStore``) owns the same guarantees for its
-    recovery log.  An ad-hoc ``open(path, "a")`` or direct ``append_jsonl``
-    elsewhere in ``experiments/`` or ``service/`` produces files that *look*
-    like checkpoints but carry none of those guarantees.
+    recovery log.  An ad-hoc ``open(path, "a")`` or a direct ``append_jsonl``
+    / ``append_jsonl_rows`` call elsewhere in ``experiments/`` or ``service/``
+    produces files that *look* like checkpoints but carry none of those
+    guarantees.
     """
 
     id = "RL004"
@@ -189,11 +194,11 @@ class CheckpointHygieneRule(Rule):
     @staticmethod
     def _append_write(ctx: ModuleContext, node: ast.Call) -> "str | None":
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "append_jsonl":
-            return "append_jsonl call"
+        if isinstance(func, ast.Attribute) and func.attr in _JSONL_WRITERS:
+            return f"{func.attr} call"
         qual = ctx.resolve(func)
-        if qual is not None and qual.split(".")[-1] == "append_jsonl":
-            return "append_jsonl call"
+        if qual is not None and qual.split(".")[-1] in _JSONL_WRITERS:
+            return f"{qual.split('.')[-1]} call"
         mode: "ast.expr | None" = None
         if isinstance(func, ast.Name) and func.id == "open":
             mode = node.args[1] if len(node.args) > 1 else None

@@ -137,17 +137,19 @@ class Study:
         backend=None,
         sweep_store=None,
         validation_store=None,
+        memo=None,
         sweep: SweepResult | None = None,
         check: bool = False,
     ) -> StudyResult:
         """Execute the study: sweep → (capture) → validation → series.
 
         Parameters default to the spec's :class:`ExecutionSpec`; ``backend``,
-        ``sweep_store`` and ``validation_store`` accept the same objects as
-        :func:`~repro.experiments.runner.run_plan` /
+        ``sweep_store``, ``validation_store`` and ``memo`` accept the same
+        objects as :func:`~repro.experiments.runner.run_plan` /
         :func:`~repro.experiments.validation.run_validation` and override it
         for programmatic callers (the figure wrappers pass their legacy
-        ``backend=``/``store=`` arguments through here).  A pre-computed
+        ``backend=``/``store=`` arguments through here, and the service
+        passes the one memo store its job threads share).  A pre-computed
         ``sweep`` skips the sweep stage — the ``validate`` CLI uses this to
         campaign over an existing checkpoint, including a partial one.
 
@@ -183,7 +185,8 @@ class Study:
             )
         self._reconcile_manifest()
 
-        memo = execution.build_memo()
+        if memo is None:
+            memo = execution.build_memo()
         if sweep is None:
             sweep = run_plan(
                 spec.experiment_plan(),

@@ -14,12 +14,13 @@ export to :mod:`networkx` for analyses and plotting.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import CycleError, GraphError, UnknownTaskError
 from .task import Task, TaskType
+
+if TYPE_CHECKING:  # networkx is imported by the conversions that use it
+    import networkx as nx
 
 __all__ = ["RecipeGraph"]
 
@@ -243,6 +244,8 @@ class RecipeGraph:
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` (nodes carry task attributes)."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for task in self._tasks.values():
             graph.add_node(

@@ -359,8 +359,10 @@ class ProcessPoolBackend:
         if "forkserver" in methods and main_importable:
             context = multiprocessing.get_context("forkserver")
             # preload so the server imports this package once and every worker
-            # forks from the warmed-up image instead of re-importing repro
-            context.set_forkserver_preload(["repro.experiments.backends"])
+            # forks from the warmed-up image instead of re-importing repro;
+            # the solvers import scipy only when they solve, so it is named
+            # here, or every worker of every pool would import it itself
+            context.set_forkserver_preload(["repro.experiments.backends", "scipy.optimize"])
             return context
         if "fork" in methods:
             return multiprocessing.get_context("fork")
@@ -381,7 +383,9 @@ class ProcessPoolBackend:
         # (initializer), not once per submitted task — per task only the
         # integer position travels over the pipe
         pool = ProcessPoolExecutor(
-            max_workers=self.workers,
+            # a worker beyond the unit count would only sit idle after
+            # unpickling the plan
+            max_workers=min(self.workers, len(queue)),
             mp_context=self._context(),
             initializer=_initialize_worker,
             initargs=(plan, queue),
@@ -447,10 +451,12 @@ def drive_units(
     each), ``parse_record`` for memo entries and ``describe(unit, records)``
     for progress text.  Units already in a resumed ``store`` are skipped and
     units whose every cell is cached are served from ``memo``; the rest
-    stream through ``backend``.  Each finished unit is appended to the store,
-    then written back to the memo, then reported to ``progress`` — a
-    callback that raises (the service's graceful drain) never loses a unit
-    it was told about.  Returns ``(records, memo_stats)`` with records in
+    stream through ``backend``.  Memo-served units are appended to the store
+    as one batch (:meth:`append_many`, one fsync per store file) before any
+    of them is reported; each computed unit is appended to the store, then
+    written back to the memo, then reported to ``progress`` — so a callback
+    that raises (the service's graceful drain) never loses a unit it was
+    told about.  Returns ``(records, memo_stats)`` with records in
     canonical unit order, whatever the completion order.
     """
     if resume and store is None:
@@ -469,26 +475,30 @@ def drive_units(
     unit_cell_keys: dict[int, list[str]] = {}
     if memo is not None and pending:
         memo_stats = MemoStats()
+        served: list[tuple] = []
         still_pending = []
         for unit in pending:
             keys = cell_keys(unit)
             cached = [memo.lookup(study_key, key) for key in keys]
             if keys and all(entry is not None for entry in cached):
-                records = [parse_record(data) for entry in cached for data in entry]
                 memo_stats.hits += len(keys)
-                completed[unit.index] = records
-                if store is not None:
-                    store.append(unit, records)
-                if progress is not None:
-                    progress(
-                        f"[{plan.name}] work unit {len(completed)}/{total} served "
-                        f"from memo ({describe(unit, records)})"
-                    )
+                served.append((unit, [parse_record(data) for entry in cached for data in entry]))
             else:
                 memo_stats.misses += len(keys)
                 unit_cell_keys[unit.index] = keys
                 still_pending.append(unit)
         pending = still_pending
+        # the whole memo-served batch is durable (one write and one fsync
+        # per store file) before the first of its units is reported
+        if store is not None and served:
+            store.append_many(served)
+        for unit, records in served:
+            completed[unit.index] = records
+            if progress is not None:
+                progress(
+                    f"[{plan.name}] work unit {len(completed)}/{total} served "
+                    f"from memo ({describe(unit, records)})"
+                )
 
     # capture_allocations is passed only when set, so a third-party backend
     # unaware of the option keeps working for plain sweeps

@@ -30,7 +30,7 @@ interpreter runs, worker processes and machines.
 The file format is the repo's usual append-only JSONL: a header line
 ``{"kind": "header", "store": "memo", "version": 1}`` followed by one fsynced
 ``{"kind": "memo", "study": ..., "cell": ..., "records": [...]}`` line per
-cached cell.  Appends are durable (:func:`repro.io.append_jsonl`) and
+cached cell.  Appends are durable (:func:`repro.io.append_jsonl_rows`) and
 serialised by an advisory ``fcntl`` lock on a ``.lock`` sidecar, so service
 job threads, pool workers and concurrent CLI runs may share one cache file
 without interleaved torn lines; a torn final line (a writer killed
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +54,7 @@ except ImportError:  # non-POSIX platform: appends stay unlocked, as before
     fcntl = None  # type: ignore[assignment]
 
 from ..core.exceptions import ConfigurationError
-from ..io import append_jsonl, read_jsonl
+from ..io import append_jsonl_rows, read_jsonl
 from ..utils.rng import stable_text_digest
 
 __all__ = [
@@ -143,17 +144,29 @@ class ResultMemoStore:
     the JSON representation a recomputation would have checkpointed —
     byte-identity of memo-served and recomputed campaigns rests on this.
     The file is loaded lazily on first access and kept as an in-memory index
-    for the store's lifetime; ``put`` is write-through (fsynced append).
+    for the store's lifetime; ``put`` is write-through (fsynced append).  One
+    instance may be shared by threads (the service's job threads do): a lock
+    makes the load happen once and serialises puts, so the index and the
+    file stay in step.  Entries appended by *other* processes after the load
+    are not seen until a new instance loads the file.
     """
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._entries: "dict[tuple[str, str], list] | None" = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _load(self) -> dict:
-        if self._entries is not None:
+        entries = self._entries
+        if entries is not None:
+            return entries
+        with self._lock:
+            if self._entries is None:
+                self._entries = self._read()
             return self._entries
+
+    def _read(self) -> dict:
         entries: dict[tuple[str, str], list] = {}
         if self.path.exists():
             rows = read_jsonl(self.path, ignore_truncated=True)
@@ -166,7 +179,6 @@ class ResultMemoStore:
                         f"refusing to use the file as a result cache"
                     )
                 entries[(str(row["study"]), str(row["cell"]))] = list(row["records"])
-        self._entries = entries
         return entries
 
     def _check_header(self, row: Any) -> None:
@@ -198,30 +210,28 @@ class ResultMemoStore:
         """
         entries = self._load()
         key = (study_key, cell_key)
-        if key in entries:
-            return
+        with self._lock:
+            if key in entries:
+                return
+            self._append(key, records)
+            entries[key] = list(records)
+
+    def _append(self, key: "tuple[str, str]", records: list) -> None:
+        study_key, cell_key = key
+        rows: list[dict] = []
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with _advisory_lock(self.path):
             # the existence check runs under the lock: of two processes
             # racing to create the cache, the second sees the first's header
             if not self.path.exists():
-                # RL004 pragmas: ResultMemoStore is itself an append-only JSONL
-                # store (idempotent first-write-wins cache, not a campaign
-                # checkpoint); it uses io.append_jsonl's fsync durability directly
-                append_jsonl(  # repro-lint: disable=RL004 -- memo store IS the append-only store
-                    self.path,
-                    {"kind": "header", "store": "memo", "version": _MEMO_VERSION},
-                )
-            append_jsonl(  # repro-lint: disable=RL004 -- memo entry write, see above
-                self.path,
-                {
-                    "kind": "memo",
-                    "study": study_key,
-                    "cell": cell_key,
-                    "records": records,
-                },
+                rows.append({"kind": "header", "store": "memo", "version": _MEMO_VERSION})
+            rows.append({"kind": "memo", "study": study_key, "cell": cell_key, "records": records})
+            # ResultMemoStore is itself an append-only JSONL store (idempotent
+            # first-write-wins cache, not a campaign checkpoint) and uses the
+            # io writer's fsync durability directly
+            append_jsonl_rows(  # repro-lint: disable=RL004 -- memo store IS the append-only store
+                self.path, rows
             )
-        entries[key] = list(records)
 
     def __len__(self) -> int:
         return len(self._load())

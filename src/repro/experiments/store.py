@@ -12,9 +12,10 @@ File format (one JSON object per line):
   runner) or ``{"kind": "record", ...}`` (one record, written by
   :func:`save_sweep_result`).
 
-Each appended line is flushed and fsynced, so a sweep killed mid-run loses at
-most the line being written; :func:`repro.io.read_jsonl` drops a truncated
-final line when loading a checkpoint.
+Each append (one unit, or a batch of memo-served units) is flushed and
+fsynced, so a sweep killed mid-run loses at most the line being written;
+:func:`repro.io.read_jsonl` drops a truncated final line when loading a
+checkpoint.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..core.exceptions import ConfigurationError
-from ..io import append_jsonl, read_jsonl
+from ..io import append_jsonl, append_jsonl_rows, read_jsonl
 from .backends import WorkUnit
 from .config import ExperimentPlan, plan_from_dict, plan_to_dict
 from .runner import RunRecord, SweepResult
@@ -146,13 +147,25 @@ class JsonlCheckpointStore:
 
     def append(self, unit, records: list) -> None:
         """Checkpoint one completed work unit (durable append)."""
-        append_jsonl(
+        self.append_many([(unit, records)])
+
+    def append_many(self, completed: list) -> None:
+        """Checkpoint several completed ``(unit, records)`` pairs with one fsync.
+
+        The lines are written in the given order as one block; a crash
+        mid-block leaves complete lines plus at most one torn tail line,
+        which resume drops like any other torn append.
+        """
+        append_jsonl_rows(
             self.path,
-            {
-                "kind": "unit",
-                "unit": unit.as_dict(),
-                "records": [record.as_dict() for record in records],
-            },
+            [
+                {
+                    "kind": "unit",
+                    "unit": unit.as_dict(),
+                    "records": [record.as_dict() for record in records],
+                }
+                for unit, records in completed
+            ],
         )
 
     # ------------------------------------------------------------------ #
@@ -360,10 +373,10 @@ class ShardedStore:
     foreign single-store checkpoint.
 
     The class duck-types the store interface the drivers use
-    (:meth:`initialize` / :meth:`peek_units` / :meth:`append`, plus a
-    ``path`` attribute for messages), so :func:`run_validation` and
-    :func:`~repro.experiments.runner.run_plan` take a ``ShardedStore``
-    anywhere they take a single store.  Units are routed to shards by
+    (:meth:`initialize` / :meth:`peek_units` / :meth:`append` /
+    :meth:`append_many`, plus a ``path`` attribute for messages), so
+    :func:`run_validation` and :func:`~repro.experiments.runner.run_plan`
+    take a ``ShardedStore`` anywhere they take a single store.  Units are routed to shards by
     ``unit.index % shards``; merging is keyed by unit index with
     first-shard-wins on duplicates, and the driver reassembles records in
     canonical unit order — so a sharded run is byte-identical to a
@@ -468,6 +481,14 @@ class ShardedStore:
     def append(self, unit, records: list) -> None:
         """Checkpoint one completed unit into its shard (durable append)."""
         self.shard_for(unit.index).append(unit, records)
+
+    def append_many(self, completed: list) -> None:
+        """Checkpoint ``(unit, records)`` pairs with one fsync per shard file."""
+        by_shard: dict[Path, list] = {}
+        for unit, records in completed:
+            by_shard.setdefault(self.shard_for(unit.index).path, []).append((unit, records))
+        for path, batch in by_shard.items():
+            self.store_type(path).append_many(batch)
 
 
 def _ends_with_newline(path: Path) -> bool:

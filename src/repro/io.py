@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .core.allocation import Allocation, ThroughputSplit
 from .core.application import Application
@@ -34,6 +34,7 @@ from .core.task import Task
 
 __all__ = [
     "append_jsonl",
+    "append_jsonl_rows",
     "read_jsonl",
     "application_to_dict",
     "application_from_dict",
@@ -60,13 +61,30 @@ _SCHEMA_VERSION = 1
 def append_jsonl(path: str | Path, obj: Any) -> None:
     """Append one JSON object as a single line to ``path``, flushed to disk.
 
-    The flush + fsync makes each line a durable checkpoint: a process killed
-    mid-sweep loses at most the line being written, which
-    :func:`read_jsonl` tolerates (see ``ignore_truncated``).
+    The one-row case of :func:`append_jsonl_rows`: the flush + fsync makes
+    each line a durable checkpoint, and a process killed mid-append loses at
+    most the line being written, which :func:`read_jsonl` tolerates (see
+    ``ignore_truncated``).
     """
-    line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    append_jsonl_rows(path, (obj,))
+
+
+def append_jsonl_rows(path: str | Path, rows: Iterable[Any]) -> None:
+    """Append JSON objects as lines to ``path`` with one write and one fsync.
+
+    The rows are serialised up front and written as one block, so a batch
+    costs a single fsync however many lines it holds.  A process killed
+    mid-write leaves a prefix of the block: complete lines, then at most one
+    torn final line, exactly the shape :func:`read_jsonl` and the checkpoint
+    stores' torn-tail repair already handle.
+    """
+    block = "".join(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" for obj in rows
+    )
+    if not block:
+        return
     with Path(path).open("a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+        handle.write(block)
         handle.flush()
         os.fsync(handle.fileno())
 

@@ -8,8 +8,8 @@ share its results.  The :class:`JobManager` runs jobs on a bounded thread
 pool; each job drives the ordinary :class:`repro.api.Study` pipeline with a
 service-owned :class:`~repro.experiments.spec.ExecutionSpec`: its own
 checkpoint store directory under the service's store root, ``resume=True``,
-the shared memo cache, and optionally a process pool, a chunk policy and a
-sharded validation store.
+the one memo store the manager shares across its jobs, and optionally a
+process pool, a chunk policy and a sharded validation store.
 
 Restart safety rests on two pieces of the existing machinery plus one new
 file:
@@ -37,11 +37,12 @@ from pathlib import Path
 from typing import Mapping
 
 from ..core.exceptions import ConfigurationError
+from ..experiments.memo import ResultMemoStore
 from ..experiments.spec import ExecutionSpec, StudySpec, study_fingerprint
 from ..io import append_jsonl, read_jsonl
 from .errors import NotFound
 
-__all__ = ["JOB_STATES", "Job", "JobJournalStore", "JobManager"]
+__all__ = ["JOB_STATES", "Job", "JobJournalStore", "JobManager", "UnitLineCounter"]
 
 JOB_STATES = ("queued", "running", "done", "failed")
 
@@ -50,6 +51,73 @@ _JOURNAL_VERSION = 1
 
 class _ShutdownRequested(Exception):
     """Raised inside a job's progress callback when the service is draining."""
+
+
+_UNIT_MARKER = b'"kind":"unit"'
+
+
+class UnitLineCounter:
+    """Counts the ``"kind": "unit"`` lines of the checkpoints under a directory.
+
+    Every JSONL file below ``root`` (single stores and ``shard-*.jsonl``
+    alike) is read incrementally: the counter remembers, per file, the byte
+    offset up to which it has counted and the units seen so far, so a scan
+    reads only the complete lines appended since the previous one.  A torn
+    final line (an append in flight, or a writer killed mid-line) is left
+    for a later scan and counted once its newline lands.  A file that shrank
+    (a torn tail pruned on resume, a bare header rewritten) is recounted
+    from the start.
+
+    A scan happens only after :meth:`invalidate` — the writer's signal that
+    a unit may have become durable — and the first :meth:`count` always
+    scans; otherwise the last total is returned without touching the
+    filesystem.  ``bytes_read`` totals the checkpoint bytes read, so the
+    cost of a call is observable.  Calls are serialised by a lock.
+    """
+
+    def __init__(self, root: "str | Path") -> None:
+        self.root = Path(root)
+        self.bytes_read = 0
+        self._seen: dict[Path, tuple[int, int]] = {}  # path -> (offset, units)
+        self._total = 0
+        self._stale = True
+        self._lock = threading.Lock()
+
+    def invalidate(self) -> None:
+        """Make the next :meth:`count` rescan (cheap: no I/O, no lock)."""
+        self._stale = True
+
+    def count(self) -> int:
+        """Completed units durable under ``root`` as of the last invalidation."""
+        with self._lock:
+            if not self._stale:
+                return self._total
+            # cleared before the scan: an invalidation racing with it makes
+            # the next call scan again instead of being lost
+            self._stale = False
+            total = 0
+            for path in self.root.rglob("*.jsonl"):
+                offset, units = self._seen.get(path, (0, 0))
+                try:
+                    size = path.stat().st_size
+                    if size < offset:
+                        offset, units = 0, 0
+                    if size > offset:
+                        with path.open("rb") as handle:
+                            handle.seek(offset)
+                            chunk = handle.read(size - offset)
+                        self.bytes_read += len(chunk)
+                        complete = chunk[: chunk.rfind(b"\n") + 1]
+                        units += sum(
+                            1 for line in complete.splitlines() if _UNIT_MARKER in line
+                        )
+                        offset += len(complete)
+                except OSError:
+                    continue
+                self._seen[path] = (offset, units)
+                total += units
+            self._total = total
+            return total
 
 
 class Job:
@@ -71,6 +139,7 @@ class Job:
         self.error: "str | None" = None
         self.result = None  # StudyResult once done
         self.finished = threading.Event()
+        self.unit_lines = UnitLineCounter(self.store_dir)
 
     def wait(self, timeout: "float | None" = None) -> bool:
         """Block until the job reaches ``done``/``failed`` (True if it did)."""
@@ -79,18 +148,14 @@ class Job:
     def units_completed(self) -> int:
         """Completed work units, counted from the job's checkpoint lines.
 
-        Scans every JSONL checkpoint under the job's store directory
-        (single stores and ``shard-*.jsonl`` alike) for ``"kind": "unit"``
-        lines — the durable progress a restarted server would resume from.
+        The durable progress a restarted server would resume from.  The
+        manager invalidates the count whenever the job reports a unit (the
+        drivers report a unit only once it is durable) and when a run ends,
+        so a poll reads only the checkpoint bytes appended since the
+        previous one, and none at all when nothing was reported (see
+        :class:`UnitLineCounter`).
         """
-        count = 0
-        for path in sorted(self.store_dir.rglob("*.jsonl")):
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            count += sum(1 for line in text.splitlines() if '"kind":"unit"' in line)
-        return count
+        return self.unit_lines.count()
 
     def describe(self) -> dict:
         """The job's status payload (``GET /v1/studies/{id}``)."""
@@ -193,10 +258,12 @@ class JobManager:
     fan out over ``workers`` processes).  ``submit`` is the dedup point:
     under one lock, an already-known fingerprint attaches to the existing
     job — unless it failed, which starts a new attempt — and a new one is
-    journaled and queued.  All jobs share one memo cache (safe:
-    :class:`ResultMemoStore` appends under an advisory file lock), so a study
-    submitted twice — even across restarts or store roots — is answered from
-    cache without recompute.
+    journaled and queued.  All jobs share one :class:`ResultMemoStore`, owned
+    by the manager for its lifetime: the cache file is parsed once, when the
+    manager starts, not once per job, and the store's lock makes its puts
+    safe for the job threads.  Entries other processes append to the file
+    later are seen after a restart.  A study submitted twice — even across
+    restarts or store roots — is answered from cache without recompute.
     """
 
     def __init__(
@@ -220,6 +287,11 @@ class JobManager:
         self.memo_path = (
             Path(memo_path) if memo_path is not None else self.store_root / "result-memo.jsonl"
         )
+        self.memo = ResultMemoStore(self.memo_path)
+        # parse the cache file once, at start-up: a foreign or corrupt file
+        # stops the server here instead of failing every job, and the job
+        # threads never queue behind the first one's load
+        len(self.memo)
         self.metrics = metrics
         self.journal = JobJournalStore(self.store_root / "jobs.jsonl")
         self._jobs: dict[str, Job] = {}
@@ -325,22 +397,30 @@ class JobManager:
     def _progress(self, job: Job):
         def callback(_message: str) -> None:
             # the drivers append the checkpoint line *before* calling this,
-            # so aborting here never loses a completed unit
+            # so a unit reported here is durable: the next poll counts it,
+            # and aborting here never loses a completed unit
+            job.unit_lines.invalidate()
             if self._stopping.is_set():
                 raise _ShutdownRequested
         return callback
 
-    def _execute(self, job: Job) -> None:
+    def _run(self, job: Job):
         from ..api import Study
 
+        try:
+            return Study.from_spec(self._executable_spec(job)).run(
+                progress=self._progress(job), memo=self.memo
+            )
+        finally:
+            job.unit_lines.invalidate()  # however the run ended, recount once
+
+    def _execute(self, job: Job) -> None:
         if self._stopping.is_set():
             return  # stays queued; the journal re-submits it on restart
         with self._lock:
             job.state = "running"
         try:
-            result = Study.from_spec(self._executable_spec(job)).run(
-                progress=self._progress(job)
-            )
+            result = self._run(job)
         except _ShutdownRequested:
             with self._lock:
                 job.state = "queued"  # checkpointed up to the aborted unit

@@ -67,6 +67,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server: StudyService
     protocol_version = "HTTP/1.1"
+    # buffer the response so its status line, headers and body leave in one
+    # send: every socket write is a blocking call that gives up the GIL, and
+    # winning it back from busy job threads costs far more than the write
+    wbufsize = -1
 
     def do_GET(self) -> None:  # noqa: N802 - http.server's naming contract
         self._handle("GET")
@@ -101,6 +105,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
+            self.wfile.flush()
         except OSError:
             return  # client gone or socket timed out: nothing left to answer
 

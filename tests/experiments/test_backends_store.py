@@ -1,5 +1,6 @@
 """Tests for the sweep orchestration layers: backends, checkpoint store, resume."""
 
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -117,6 +118,22 @@ class TestProcessPoolBackend:
         unit, records = next(stream)
         assert records
         stream.close()  # must not hang waiting for the remaining units
+
+    def test_pool_starts_no_more_workers_than_units(self):
+        # a one-unit run on two workers must not fork an idle second worker
+        # (fork launches the whole pool up front, so the width is observable)
+        plan = small_plan(num_configurations=1, algorithms=("H1",))
+        units = plan_work_units(plan)
+        assert len(units) == 1
+        before = set(multiprocessing.active_children())
+        stream = ProcessPoolBackend(2, mp_context="fork").run(plan, units)
+        try:
+            unit, records = next(stream)
+            started = set(multiprocessing.active_children()) - before
+        finally:
+            stream.close()
+        assert records
+        assert len(started) == 1
 
 
 class TestStore:

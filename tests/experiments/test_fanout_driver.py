@@ -1,13 +1,15 @@
 """The fan-out driver's ordering invariant, for both stages that use it.
 
 ``drive_units`` appends a unit's checkpoint line *before* it reports the unit
-to ``progress`` — for computed and memo-served units alike.  A progress
-callback that raises (the service's graceful drain does exactly that) must
-therefore leave every unit it was told about durable, and resuming must
-reproduce the uninterrupted serial result.
+to ``progress`` — for computed and memo-served units alike; memo-served units
+are appended as one batch (one write, one fsync) before the first of them is
+reported.  A progress callback that raises (the service's graceful drain does
+exactly that) must therefore leave every unit it was told about durable, and
+resuming must reproduce the uninterrupted serial result.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -84,6 +86,55 @@ def test_abort_in_progress_keeps_reported_units_durable(tmp_path, stage, source)
     verb = "served from memo" if memo is not None else "done"
     assert all(verb in message for message in messages)
 
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert sum(row["kind"] == "unit" for row in rows) == UNITS_BEFORE_ABORT
+    if memo is None:
+        assert _unit_lines(path) == UNITS_BEFORE_ABORT
+    else:
+        # the memo-served batch is durable as a whole before its first report
+        assert _unit_lines(path) == _total_units(messages[0])
     assert stage(store=path, resume=True) == reference
+
+
+def _unit_lines(path) -> int:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return sum(row["kind"] == "unit" for row in rows)
+
+
+def _total_units(message: str) -> int:
+    return int(re.search(r"work unit \d+/(\d+)", message).group(1))
+
+
+def test_abort_on_first_memo_served_unit_finds_the_whole_batch_durable(tmp_path, stage):
+    memo = tmp_path / "memo.jsonl"
+    reference = stage(memo=memo)  # warm every cell
+
+    messages = []
+
+    def tripwire(message):
+        messages.append(message)
+        raise _Abort
+
+    path = tmp_path / "checkpoint.jsonl"
+    with pytest.raises(_Abort):
+        stage(store=path, progress=tripwire, memo=memo)
+    assert len(messages) == 1 and "served from memo" in messages[0]
+    assert _total_units(messages[0]) > 1
+    assert _unit_lines(path) == _total_units(messages[0])
+    assert stage(store=path, resume=True) == reference
+
+
+def test_crash_inside_a_memo_served_batch_resumes_byte_identically(tmp_path, stage):
+    memo = tmp_path / "memo.jsonl"
+    reference = stage(memo=memo)  # warm every cell
+    uninterrupted = tmp_path / "uninterrupted.jsonl"
+    assert stage(store=uninterrupted, memo=memo) == reference
+
+    data = uninterrupted.read_bytes()
+    lines = data.splitlines(keepends=True)
+    assert len(lines) >= 3  # header plus a batch of at least two units
+    # a kill inside the batch's single write: the header, the first unit
+    # line, and half of the second unit line reached the disk
+    path = tmp_path / "crashed.jsonl"
+    path.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+
+    assert stage(store=path, resume=True, memo=memo) == reference
+    assert path.read_bytes() == data

@@ -8,6 +8,8 @@ scenario, screen threshold, warm-up fraction, algorithm line-up — must miss.
 
 import concurrent.futures
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -151,6 +153,62 @@ class TestConcurrentWriters:
         reloaded = ResultMemoStore(path)
         for cell in cells:
             assert reloaded.lookup("study", cell) == [
+                {"cell": cell, "value": float(len(cell))}
+            ]
+
+
+class TestSharedInstance:
+    def test_threads_sharing_one_store_load_once_and_leave_a_clean_file(
+        self, tmp_path, monkeypatch
+    ):
+        # the service's job threads share one store: overlapping lookups and
+        # puts from several threads (more than cores, switching often) must
+        # load the file once, write each key once, and leave a file that
+        # reloads to the same entries
+        path = tmp_path / "memo.jsonl"
+        store = ResultMemoStore(path)
+        store.put("study", "seed-cell", [{"cell": "seed-cell"}])
+        store = ResultMemoStore(path)  # a fresh instance: nothing loaded yet
+        loads = []
+        original_read = ResultMemoStore._read
+
+        def counting_read(self):
+            loads.append(self)
+            return original_read(self)
+
+        monkeypatch.setattr(ResultMemoStore, "_read", counting_read)
+        cells = [f"cell-{number:03d}" for number in range(60)]
+        offsets = (0, 15, 30, 45)
+        start = threading.Barrier(len(offsets))
+
+        def worker(offset):
+            start.wait()
+            for cell in cells[offset:] + cells[:offset]:
+                if store.lookup("study", cell) is None:
+                    store.put("study", cell, [{"cell": cell, "value": float(len(cell))}])
+
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in offsets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(loads) == 1
+
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["kind"] for row in rows].count("header") == 1
+        assert rows[0]["kind"] == "header"
+        memo_rows = rows[1:]
+        assert len(memo_rows) == len(cells) + 1  # every key written exactly once
+        reloaded = ResultMemoStore(path)
+        assert len(reloaded) == len(store) == len(cells) + 1
+        for cell in cells:
+            assert reloaded.lookup("study", cell) == store.lookup("study", cell) == [
                 {"cell": cell, "value": float(len(cell))}
             ]
 

@@ -8,8 +8,10 @@ to the identical final result, and every error path answers structured JSON
 with the right status code.
 """
 
+import contextlib
 import http.client
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -20,6 +22,7 @@ from repro.api import Study
 from repro.core import ConfigurationError
 from repro.experiments.spec import StudySpec, study_fingerprint
 from repro.service import (
+    Job,
     JobJournalStore,
     JobManager,
     Router,
@@ -373,3 +376,161 @@ class TestManagerConfig:
             assert job_a is job_b
         finally:
             manager.shutdown()
+
+
+def _unit_line(index: int) -> str:
+    record = {"algorithm": "H1", "cost": float(index), "configuration": index}
+    return json.dumps(
+        {"kind": "unit", "records": [record], "unit": {"index": index}},
+        sort_keys=True, separators=(",", ":"),
+    ) + "\n"
+
+
+def _header_line() -> str:
+    return '{"fingerprint":"f","kind":"header","plan":{},"version":1}\n'
+
+
+def _rescan(root) -> int:
+    """The full-rescan count: every complete unit line under ``root``."""
+    count = 0
+    for path in sorted(root.rglob("*.jsonl")):
+        text = path.read_text(encoding="utf-8")
+        complete = text[: text.rfind("\n") + 1]
+        count += sum(1 for line in complete.splitlines() if '"kind":"unit"' in line)
+    return count
+
+
+class TestStatusPollCost:
+    """A status poll reads only what was appended since the previous poll."""
+
+    UNITS = 20_000
+
+    @pytest.fixture(params=["single", "sharded"])
+    def job(self, request, tmp_path):
+        store_dir = tmp_path / "studies" / "job"
+        if request.param == "single":
+            files = [store_dir / "study-sweep.jsonl"]
+        else:
+            files = [store_dir / "study-validation" / f"shard-{n:04d}.jsonl" for n in range(4)]
+        for path in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(_header_line())
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(path.open("a")) for path in files]
+            for index in range(self.UNITS):
+                handles[index % len(files)].write(_unit_line(index))
+        spec = StudySpec.from_dict(tiny_spec_dict())
+        job = Job("job", spec, study_fingerprint(spec), store_dir)
+        return job, files
+
+    @staticmethod
+    def append(job, path, text):
+        """A writer's durable append, then its signal to the job (the progress hook)."""
+        with path.open("a") as handle:
+            handle.write(text)
+        job.unit_lines.invalidate()
+
+    def test_idle_poll_reads_no_checkpoint_bytes(self, job):
+        job, files = job
+        assert job.units_completed() == self.UNITS
+        assert job.unit_lines.bytes_read == sum(path.stat().st_size for path in files)
+        before = job.unit_lines.bytes_read
+        for _ in range(3):
+            assert job.units_completed() == self.UNITS
+            job.unit_lines.invalidate()  # a rescan with no new lines reads nothing either
+            assert job.units_completed() == self.UNITS
+        assert job.unit_lines.bytes_read == before
+
+    def test_counts_after_appends_match_a_full_rescan(self, job):
+        job, files = job
+        job.units_completed()
+        before = job.unit_lines.bytes_read
+        appended = 0
+        for number, path in enumerate(files * 3):
+            line = _unit_line(self.UNITS + number)
+            self.append(job, path, line)
+            appended += len(line)
+            assert job.units_completed() == _rescan(job.store_dir)
+        assert job.units_completed() == self.UNITS + 3 * len(files)
+        assert job.unit_lines.bytes_read - before == appended
+
+    def test_torn_final_line_counts_once_completed(self, job):
+        job, files = job
+        job.units_completed()
+        line = _unit_line(self.UNITS)
+        self.append(job, files[-1], line[: len(line) // 2])
+        assert job.units_completed() == self.UNITS == _rescan(job.store_dir)
+        self.append(job, files[-1], line[len(line) // 2 :])
+        assert job.units_completed() == self.UNITS + 1 == _rescan(job.store_dir)
+
+    def test_polls_racing_appends_settle_on_the_full_count(self, job):
+        # several pollers (more than cores, switching often) against one
+        # writer: no invalidation may be lost, so once the writer is done
+        # the next poll sees every line
+        job, files = job
+        extra = 200
+        stop = threading.Event()
+        seen = []
+
+        def poller():
+            while not stop.is_set():
+                seen.append(job.units_completed())
+
+        pollers = [threading.Thread(target=poller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pollers:
+                thread.start()
+            for number in range(extra):
+                self.append(job, files[number % len(files)], _unit_line(self.UNITS + number))
+        finally:
+            stop.set()
+            for thread in pollers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pollers)
+        assert all(self.UNITS <= count <= self.UNITS + extra for count in seen)
+        assert job.units_completed() == self.UNITS + extra == _rescan(job.store_dir)
+
+    def test_a_shrunk_file_is_recounted(self, job):
+        job, files = job
+        job.units_completed()
+        files[0].write_text(_header_line() + _unit_line(0))
+        job.unit_lines.invalidate()
+        assert job.units_completed() == _rescan(job.store_dir)
+
+    def test_a_reported_unit_is_counted_by_the_next_poll(self, job, tmp_path):
+        job, files = job
+        job.units_completed()
+        with files[0].open("a") as handle:
+            handle.write(_unit_line(self.UNITS))
+        manager = JobManager(tmp_path / "state", jobs=1)
+        try:
+            # the drivers report a unit only once its line is durable
+            manager._progress(job)("work unit done")
+        finally:
+            manager.shutdown()
+        assert job.units_completed() == self.UNITS + 1
+
+
+class TestSharedMemo:
+    def test_one_memo_store_serves_every_job(self, tmp_path):
+        manager = JobManager(tmp_path / "state", jobs=2)
+        try:
+            first, _ = manager.submit(StudySpec.from_dict(tiny_spec_dict("first")))
+            assert first.wait(120) and first.state == "done"
+            assert len(manager.memo) > 0  # the first job's cells, in the shared index
+            spec = tiny_spec_dict("second")
+            spec["workload"]["num_configurations"] = 2  # one old configuration, one new
+            second, _ = manager.submit(StudySpec.from_dict(spec))
+            assert second.wait(120) and second.state == "done"
+            assert second.describe()["memo_stats"]["hits"] > 0
+        finally:
+            manager.shutdown()
+
+    def test_foreign_memo_file_stops_the_manager_at_start(self, tmp_path):
+        memo = tmp_path / "memo.jsonl"
+        memo.write_text('{"kind": "header", "store": "service-jobs", "version": 1}\n')
+        with pytest.raises(ConfigurationError, match="result-memo"):
+            JobManager(tmp_path / "state", memo_path=memo)
