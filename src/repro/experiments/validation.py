@@ -42,6 +42,7 @@ record lines; ``benchmarks/bench_validation.py`` and
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -462,18 +463,23 @@ class ValidationRecord:
 
 @dataclass(frozen=True, slots=True)
 class ValidationUnit:
-    """One campaign shard: sources at one (horizon, multiplier, scenario).
+    """One campaign shard: whole streams of sources at one (multiplier, scenario).
 
-    Like the sweep's :class:`~repro.experiments.backends.WorkUnit` it carries
-    indices only; the executing side looks the sources and the scenario up in
-    the (pickled) plan and regenerates each source's configuration from the
+    A *stream* is one (source, multiplier, scenario) triple with all of
+    ``horizons``: it is simulated once, to the longest horizon, and yields
+    one record per horizon (in ``horizons`` order), each shorter one taken
+    from the same pass.  Like the sweep's
+    :class:`~repro.experiments.backends.WorkUnit` the unit carries indices
+    only; the executing side looks the sources and the scenario up in the
+    (pickled) plan and regenerates each source's configuration from the
     sweep seeds.  ``scenario`` indexes ``plan.scenarios`` and is omitted from
     the dict form when ``0`` — the only value pre-scenario checkpoints could
-    have held — so their sharding check keeps passing.
+    have held — and a single horizon serialises as the pre-stream
+    ``"horizon": h``, so older checkpoints keep passing the sharding check.
     """
 
     index: int
-    horizon: float
+    horizons: tuple[float, ...]
     rate_multiplier: float
     sources: tuple[int, ...]
     scenario: int = 0
@@ -484,25 +490,30 @@ class ValidationUnit:
         # instance); units cross process boundaries constantly, so be exact
         return (
             self.__class__,
-            (self.index, self.horizon, self.rate_multiplier, self.sources, self.scenario),
+            (self.index, self.horizons, self.rate_multiplier, self.sources, self.scenario),
         )
 
     def as_dict(self) -> dict:
-        data = {
-            "index": self.index,
-            "horizon": self.horizon,
-            "rate_multiplier": self.rate_multiplier,
-            "sources": list(self.sources),
-        }
+        data: dict = {"index": self.index}
+        if len(self.horizons) == 1:
+            data["horizon"] = self.horizons[0]
+        else:
+            data["horizons"] = list(self.horizons)
+        data["rate_multiplier"] = self.rate_multiplier
+        data["sources"] = list(self.sources)
         if self.scenario != 0:
             data["scenario"] = self.scenario
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ValidationUnit":
+        if "horizon" in data:
+            horizons: tuple[float, ...] = (float(data["horizon"]),)
+        else:
+            horizons = tuple(float(h) for h in data["horizons"])
         return cls(
             index=int(data["index"]),
-            horizon=float(data["horizon"]),
+            horizons=horizons,
             rate_multiplier=float(data["rate_multiplier"]),
             sources=tuple(int(s) for s in data["sources"]),
             scenario=int(data.get("scenario", 0)),
@@ -523,27 +534,28 @@ class ValidationUnit:
         """
         context = _plan_context(plan)
         return [
-            _simulate_cell(
-                plan, context, self.horizon, self.rate_multiplier,
+            record
+            for source_index in self.sources
+            for record in _simulate_stream(
+                plan, context, self.horizons, self.rate_multiplier,
                 self.scenario, source_index,
             )
-            for source_index in self.sources
         ]
 
 
 @dataclass(frozen=True, slots=True)
 class ValidationChunk:
-    """One adaptively-sized campaign shard: a contiguous span of grid cells.
+    """One adaptively-sized campaign shard: a contiguous span of whole streams.
 
-    Where :class:`ValidationUnit` is bound to a single (horizon, multiplier,
-    scenario) cell of the grid, a chunk spans ``[start, stop)`` of the plan's
-    canonical cell list (:func:`plan_cells`) — many sources, horizons,
-    multipliers and scenarios in one picklable value, sized so each shard
-    carries enough simulation work to amortise the process-pool's per-task
-    overhead.  ``index`` is the chunk's position in the canonical unit order
-    (chunks tile the cell list in order), so checkpoint lines and reassembly
-    work exactly as for per-cell units; the dict form carries a ``"cells"``
-    span, which is how :class:`ValidationStore` tells the two shapes apart.
+    Where :class:`ValidationUnit` is bound to one (multiplier, scenario)
+    pair, a chunk spans ``[start, stop)`` of the plan's canonical stream list
+    (multipliers × scenarios × sources, each stream with every plan horizon)
+    — many sources, multipliers and scenarios in one picklable value, sized
+    so each shard carries enough simulation work to amortise the
+    process-pool's per-task overhead.  ``index`` is the chunk's position in
+    the canonical unit order (chunks tile the stream list in order); the dict
+    form carries a ``"streams"`` span, which is how :class:`ValidationStore`
+    tells the shapes apart.
     """
 
     index: int
@@ -555,11 +567,11 @@ class ValidationChunk:
         return (self.__class__, (self.index, self.start, self.stop))
 
     def as_dict(self) -> dict:
-        return {"index": self.index, "cells": [self.start, self.stop]}
+        return {"index": self.index, "streams": [self.start, self.stop]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ValidationChunk":
-        start, stop = data["cells"]
+        start, stop = data["streams"]
         return cls(index=int(data["index"]), start=int(start), stop=int(stop))
 
     def execute(
@@ -569,18 +581,40 @@ class ValidationChunk:
         check: bool = False,
         capture_allocations: bool = False,
     ) -> list[ValidationRecord]:
-        """Simulate this chunk's cell span (worker-process entry point)."""
+        """Simulate this chunk's stream span (worker-process entry point)."""
         context = _plan_context(plan)
+        horizons = _plan_horizons(plan)
         return [
-            _simulate_cell(plan, context, *cell)
-            for cell in context.cells[self.start : self.stop]
+            record
+            for stream in context.streams[self.start : self.stop]
+            for record in _simulate_stream(plan, context, horizons, *stream)
         ]
 
 
+@dataclass(frozen=True)
+class _RetiredCellSpan:
+    """A checkpointed chunk of the retired ``"cells"`` shape.
+
+    Chunks once tiled the per-cell grid (:func:`plan_cells`).  A finished
+    checkpoint of that shape still loads — its records are matched back to
+    their cells by coordinates — but the span is never rebuilt, so resuming
+    an unfinished one fails the store's sharding check.
+    """
+
+    index: int
+    data: Mapping
+
+    def as_dict(self) -> dict:
+        return dict(self.data)
+
+
 def _validation_unit_from_dict(data: Mapping):
-    """Checkpoint dispatch: a ``"cells"`` span is a chunk, anything else a unit."""
-    if "cells" in data:
+    """Checkpoint dispatch: a ``"streams"`` span is a chunk, a ``"cells"``
+    span a retired chunk, anything else a unit."""
+    if "streams" in data:
         return ValidationChunk.from_dict(data)
+    if "cells" in data:
+        return _RetiredCellSpan(index=int(data["index"]), data=dict(data))
     return ValidationUnit.from_dict(data)
 
 
@@ -603,13 +637,13 @@ class _ExecutionContext:
         self._configurations: dict[int, Any] = {}
         self._problems: dict[tuple[int, float], Any] = {}
         self._allocations: dict[int, Any] = {}
-        self._cells: "list[tuple[float, float, int, int]] | None" = None
+        self._streams: "list[tuple[float, int, int]] | None" = None
 
     @property
-    def cells(self) -> "list[tuple[float, float, int, int]]":
-        if self._cells is None:
-            self._cells = plan_cells(self.plan)
-        return self._cells
+    def streams(self) -> "list[tuple[float, int, int]]":
+        if self._streams is None:
+            self._streams = _plan_streams(self.plan)
+        return self._streams
 
     def configuration(self, index: int):
         configuration = self._configurations.get(index)
@@ -657,49 +691,73 @@ def _plan_context(plan: ValidationPlan) -> _ExecutionContext:
     return _CONTEXT
 
 
-def _simulate_cell(
+def _simulate_stream(
     plan: ValidationPlan,
     context: _ExecutionContext,
-    horizon: float,
+    horizons: tuple[float, ...],
     rate_multiplier: float,
     scenario_index: int,
     source_index: int,
-) -> ValidationRecord:
-    """Run one grid cell — the shared body of every unit shape.
+) -> list[ValidationRecord]:
+    """Run one stream and return its record per horizon, in ``horizons`` order.
 
-    Byte-for-byte the record the original per-unit loop produced: the
-    simulation seed depends only on (source, scenario), so how cells are
-    grouped into units can never change a record.
+    The shared body of every unit shape.  The DES runs once, to the longest
+    horizon that needs it (under the fluid screen: the longest flagged one),
+    and takes every shorter horizon's report from the same pass — the
+    byte-identical report of a separate run, because the simulation seed
+    depends only on (source, scenario) and the events up to a horizon do not
+    depend on how far the run goes on.  So neither the grouping of streams
+    into units nor the horizons sharing a pass can change a record.
     """
     source = plan.sources[source_index]
     scenario = plan.scenarios[scenario_index]
     problem = context.problem(source)
     allocation = context.allocation(source_index)
     arrival_rate = source.rho * rate_multiplier
+    records: dict[float, ValidationRecord] = {}
     if plan.screen == "fluid":
-        estimate = fluid_estimate(
+        for horizon in dict.fromkeys(horizons):
+            estimate = fluid_estimate(
+                problem,
+                allocation,
+                arrival_rate=arrival_rate,
+                horizon=horizon,
+                scenario=scenario,
+            )
+            if not estimate.flagged(plan.screen_threshold):
+                records[horizon] = _fluid_record(
+                    source, horizon, rate_multiplier, scenario, estimate
+                )
+    simulated = sorted(set(horizons) - records.keys())
+    if simulated:
+        simulator = StreamSimulator(
             problem,
             allocation,
             arrival_rate=arrival_rate,
-            horizon=horizon,
+            warmup_fraction=plan.warmup_fraction,
             scenario=scenario,
+            seed=scenario_seed(plan.sweep_plan.base_seed, source, scenario),
         )
-        if not estimate.flagged(plan.screen_threshold):
-            return _fluid_record(source, horizon, rate_multiplier, scenario, estimate)
-    simulator = StreamSimulator(
-        problem,
-        allocation,
-        arrival_rate=arrival_rate,
-        warmup_fraction=plan.warmup_fraction,
-        scenario=scenario,
-        seed=scenario_seed(plan.sweep_plan.base_seed, source, scenario),
-    )
-    report = simulator.run(horizon=horizon, max_datasets=plan.max_datasets)
+        report = simulator.run(
+            horizon=simulated[-1], max_datasets=plan.max_datasets, prefixes=simulated[:-1]
+        )
+        for each in (*report.metadata.get("prefix_reports", ()), report):
+            records[each.horizon] = _des_record(source, rate_multiplier, scenario, each)
+    return [records[horizon] for horizon in horizons]
+
+
+def _des_record(
+    source: AllocationSource,
+    rate_multiplier: float,
+    scenario: ScenarioSpec,
+    report,
+) -> ValidationRecord:
+    """The record of one DES report (at ``report.horizon``)."""
     return ValidationRecord(
         configuration=source.configuration,
         rho=source.rho,
         algorithm=source.algorithm,
-        horizon=horizon,
+        horizon=report.horizon,
         rate_multiplier=rate_multiplier,
         arrival_rate=report.target_throughput,
         arrivals=report.arrivals,
@@ -789,74 +847,94 @@ def _resolve_allocation(sweep_plan: ExperimentPlan, source: AllocationSource, pr
 def plan_cells(plan: ValidationPlan) -> list[tuple[float, float, int, int]]:
     """The campaign grid as a flat ``(horizon, multiplier, scenario, source)`` list.
 
-    This is the *canonical cell order*: exactly the order in which the default
-    (unchunked) unit list emits records — horizons × multipliers × scenarios
-    outermost, sources grouped per sweep configuration innermost.  Chunked
-    units tile this list in contiguous spans, which is what keeps a chunked
-    campaign's record stream byte-identical to an unchunked one regardless of
-    chunk size.
+    This is the *canonical cell order* of a campaign's records — horizons ×
+    multipliers × scenarios outermost, sources grouped per sweep configuration
+    innermost.  Units emit records stream by stream (all horizons of one
+    source together); :func:`run_validation` and :func:`load_campaign` put
+    them back into this order (:func:`_canonical_order`), so the record
+    stream never depends on how the grid was sharded.
     """
+    streams = _plan_streams(plan)
+    return [(horizon, *stream) for horizon in _plan_horizons(plan) for stream in streams]
+
+
+def _plan_horizons(plan: ValidationPlan) -> tuple[float, ...]:
+    """The horizons every stream of ``plan`` reports on, in plan order."""
+    return tuple(float(h) for h in plan.horizons)
+
+
+def _plan_streams(plan: ValidationPlan) -> list[tuple[float, int, int]]:
+    """The canonical ``(multiplier, scenario, source)`` stream list chunks tile."""
     source_order = [index for group in _source_groups(plan) for index in group]
-    cells: list[tuple[float, float, int, int]] = []
-    for horizon in plan.horizons:
-        for multiplier in plan.rate_multipliers:
-            for scenario_index in range(len(plan.scenarios)):
-                for source_index in source_order:
-                    cells.append(
-                        (float(horizon), float(multiplier), scenario_index, source_index)
-                    )
-    return cells
+    return [
+        (float(multiplier), scenario_index, source_index)
+        for multiplier in plan.rate_multipliers
+        for scenario_index in range(len(plan.scenarios))
+        for source_index in source_order
+    ]
 
 
-def _unit_cells(plan: ValidationPlan, unit, cells) -> list[tuple[float, float, int, int]]:
+def _unit_cells(plan: ValidationPlan, unit, streams) -> list[tuple[float, float, int, int]]:
     """The grid cells a unit covers, in its record-emission order."""
     if isinstance(unit, ValidationChunk):
-        return list(cells[unit.start : unit.stop])
+        horizons = _plan_horizons(plan)
+        spans = streams[unit.start : unit.stop]
+    else:
+        horizons = unit.horizons
+        spans = [(unit.rate_multiplier, unit.scenario, source) for source in unit.sources]
     return [
-        (unit.horizon, unit.rate_multiplier, unit.scenario, source_index)
-        for source_index in unit.sources
+        (horizon, multiplier, scenario_index, source_index)
+        for multiplier, scenario_index, source_index in spans
+        for horizon in horizons
     ]
 
 
 def plan_validation_units(
-    plan: ValidationPlan, *, cells_per_unit: int | None = None
+    plan: ValidationPlan, *, streams_per_unit: int | None = None
 ) -> list:
     """Shard a campaign into its canonical list of work units.
 
-    Two sharding shapes share the same record order:
+    Every unit holds whole streams (a source at one multiplier and scenario,
+    with all of the plan's horizons, simulated in one pass).  Two shapes:
 
-    * the default (``cells_per_unit=None``) emits one :class:`ValidationUnit`
-      per (horizon, multiplier, scenario, configuration) group;
-    * ``cells_per_unit=N`` emits :class:`ValidationChunk` spans tiling the
-      canonical cell list (:func:`plan_cells`) ``N`` cells at a time — the
-      adaptive-sharding shape, whose per-shard cost the driver sizes from a
-      measured per-cell estimate.
+    * the default (``streams_per_unit=None``) cuts each (multiplier,
+      scenario, configuration) group into consecutive slices of
+      ``max(1, len(group) // len(horizons))`` sources, so a unit carries
+      about as many records as one group at one horizon — on a
+      single-horizon plan that is one :class:`ValidationUnit` per group,
+      exactly the unit list (and dict lines) of the per-horizon format;
+    * ``streams_per_unit=N`` emits :class:`ValidationChunk` spans tiling the
+      canonical stream list ``N`` streams at a time — the adaptive-sharding
+      shape, whose per-shard cost the driver sizes from a measured
+      per-stream estimate.
 
     The scenario loop sits innermost of the grid axes, so a single-scenario
     plan produces exactly the unit list (and indices) of the pre-scenario
     format.
     """
-    if cells_per_unit is not None:
-        if cells_per_unit <= 0:
+    if streams_per_unit is not None:
+        if streams_per_unit <= 0:
             raise ConfigurationError(
-                f"cells_per_unit must be positive, got {cells_per_unit}"
+                f"streams_per_unit must be positive, got {streams_per_unit}"
             )
-        total = len(plan_cells(plan))
+        total = len(_plan_streams(plan))
         return [
-            ValidationChunk(index=index, start=start, stop=min(start + cells_per_unit, total))
-            for index, start in enumerate(range(0, total, cells_per_unit))
+            ValidationChunk(index=index, start=start, stop=min(start + streams_per_unit, total))
+            for index, start in enumerate(range(0, total, streams_per_unit))
         ]
+    horizons = _plan_horizons(plan)
     units: list[ValidationUnit] = []
-    for horizon in plan.horizons:
-        for multiplier in plan.rate_multipliers:
-            for scenario_index in range(len(plan.scenarios)):
-                for group in _source_groups(plan):
+    for multiplier in plan.rate_multipliers:
+        for scenario_index in range(len(plan.scenarios)):
+            for group in _source_groups(plan):
+                size = max(1, len(group) // len(horizons))
+                for start in range(0, len(group), size):
                     units.append(
                         ValidationUnit(
                             index=len(units),
-                            horizon=float(horizon),
+                            horizons=horizons,
                             rate_multiplier=float(multiplier),
-                            sources=group,
+                            sources=group[start : start + size],
                             scenario=scenario_index,
                         )
                     )
@@ -1136,14 +1214,17 @@ class ValidationStore(JsonlCheckpointStore):
 
 
 def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignResult:
-    """Load a campaign checkpoint, merging unit lines in canonical order.
+    """Load a campaign checkpoint, its records in canonical cell order.
 
     ``path`` may be a single checkpoint file or a :class:`ShardedStore`
     directory (``shard-*.jsonl`` files written by concurrent writers); shard
     stores are merged under the plan fingerprint of the first shard —
     first-shard-wins on duplicate units, a foreign-fingerprint shard refused
-    — and because reassembly is in canonical unit order either way, a merged
-    sharded campaign is byte-identical to a single-store one.
+    — and because records are reassembled in canonical cell order
+    (:func:`plan_cells`) either way, a merged sharded campaign is
+    byte-identical to a single-store one, and a checkpoint of any earlier
+    unit shape (per-horizon units, ``"cells"`` chunks) loads to the records
+    a fresh run produces.
 
     A checkpoint holding fewer units than its plan calls for (an
     interrupted, never-resumed campaign) is refused unless ``allow_partial``.
@@ -1154,9 +1235,12 @@ def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignR
         plan, completed = _load_campaign_shards(Path(path))
     else:
         plan, completed, _ = ValidationStore(path)._load_checkpoint(None)
-    result = CampaignResult(plan=plan)
-    for index in sorted(completed):
-        result.extend(completed[index])
+    result = CampaignResult(
+        plan=plan,
+        records=_canonical_order(
+            plan, [record for index in sorted(completed) for record in completed[index]]
+        ),
+    )
     # compare record counts, not unit counts: the unit count depends on the
     # chunk_policy the checkpointing run used, the record count only on the plan
     expected = plan.num_simulations
@@ -1241,22 +1325,17 @@ def _memo_cell_key(plan: ValidationPlan, cell: tuple[float, float, int, int]) ->
     )
 
 
-def _probe_cell_seconds(plan: ValidationPlan, cells) -> float:
-    """Measure one cell's wall-clock cost, scaled to the grid's mean horizon.
+def _probe_stream_seconds(plan: ValidationPlan, streams) -> float:
+    """Measure one stream's wall-clock cost (one pass to the longest horizon).
 
-    Runs the first canonical cell once (its record is discarded — the real
-    run recomputes it, so determinism is untouched) and scales the elapsed
-    time by mean-horizon/probe-horizon, since simulation cost is roughly
-    linear in the horizon.
+    Runs the first canonical stream once; its records are discarded — the
+    real run recomputes them, so determinism is untouched.  Every stream
+    spans the same horizons, so no scaling is needed.
     """
     context = _plan_context(plan)
-    probe = cells[0]
     with timed() as clock:
-        _simulate_cell(plan, context, *probe)
-    elapsed = max(clock[0], 1e-6)
-    probe_horizon = probe[0]
-    mean_horizon = sum(cell[0] for cell in cells) / len(cells)
-    return elapsed * (mean_horizon / probe_horizon)
+        _simulate_stream(plan, context, _plan_horizons(plan), *streams[0])
+    return max(clock[0], 1e-6)
 
 
 def _plan_units_for_run(
@@ -1272,47 +1351,106 @@ def _plan_units_for_run(
     Without a policy (or on an empty grid) this is the default per-group
     sharding.  On resume against an existing checkpoint its sharding is
     recovered from the stored unit dicts (re-probing could pick a different
-    span and the store refuses mismatched sharding); otherwise ``cells:N`` is
-    taken literally and ``target:SECONDS`` divides the target by a measured
-    per-cell cost.  With a multi-worker backend the span is capped so every
-    worker gets several chunks — load balance beats amortisation once chunks
-    are big enough.
+    span and the store refuses mismatched sharding); a checkpoint of any
+    other shape gets the default units, which the store's sharding check
+    then refuses unless they are what it holds.  Otherwise ``cells:N`` asks
+    for about ``N`` records per chunk (``N // len(horizons)`` streams) and
+    ``target:SECONDS`` divides the target by a measured per-stream cost.
+    With a multi-worker backend the span is capped so every worker gets
+    several chunks — load balance beats amortisation once chunks are big
+    enough.
     """
     policy = parse_chunk_policy(chunk_policy)
     if policy is None:
         return plan_validation_units(plan)
-    cells = plan_cells(plan)
-    if not cells:
+    streams = _plan_streams(plan)
+    if not streams:
         return plan_validation_units(plan)
     stored = store.peek_units() if resume and store is not None else {}
     if stored:
         first = min(stored.values(), key=lambda data: data["index"])
-        if "cells" not in first:  # the checkpoint was written unchunked
+        if "streams" not in first:  # written unchunked, or in a retired shape
             return plan_validation_units(plan)
-        start, stop = first["cells"]
+        start, stop = first["streams"]
         span = int(start) // int(first["index"]) if first["index"] > 0 else int(stop) - int(start)
-        return plan_validation_units(plan, cells_per_unit=max(1, span))
+        return plan_validation_units(plan, streams_per_unit=max(1, span))
     kind, value = policy
     if kind == "cells":
-        cells_per_unit = int(value)
+        streams_per_unit = int(value) // len(plan.horizons)
     else:
-        cells_per_unit = int(value / _probe_cell_seconds(plan, cells))
+        streams_per_unit = int(value / _probe_stream_seconds(plan, streams))
     workers = backend_width(backend)
     if workers > 1:
-        cells_per_unit = min(cells_per_unit, math.ceil(len(cells) / (4 * workers)))
-    return plan_validation_units(plan, cells_per_unit=max(1, cells_per_unit))
+        streams_per_unit = min(streams_per_unit, math.ceil(len(streams) / (4 * workers)))
+    return plan_validation_units(plan, streams_per_unit=max(1, streams_per_unit))
 
 
 def _describe_unit(plan: ValidationPlan, unit, records: list) -> str:
     """The progress text of one campaign unit."""
     if isinstance(unit, ValidationChunk):
-        label = f"cells {unit.start}..{unit.stop}"
+        label = f"streams {unit.start}..{unit.stop}"
     else:
+        horizons = "/".join(f"{h:g}" for h in unit.horizons)
         label = (
-            f"horizon {unit.horizon:g}, rate x{unit.rate_multiplier:g}, "
-            f"scenario {plan.scenarios[unit.scenario].name}"
+            f"horizon{'s' if len(unit.horizons) > 1 else ''} {horizons}, "
+            f"rate x{unit.rate_multiplier:g}, scenario {plan.scenarios[unit.scenario].name}"
         )
     return f"{label}, {len(records)} simulations"
+
+
+def _canonical_order(
+    plan: ValidationPlan, records: Iterable[ValidationRecord]
+) -> list[ValidationRecord]:
+    """``records`` in canonical cell order (:func:`plan_cells`).
+
+    Each record's place is computed from its coordinates (horizon,
+    multiplier, scenario, source), so the result does not depend on the
+    shape of the units that produced them; cells with no record (a partial
+    checkpoint) are skipped.  A coordinate that occurs more than once on its
+    axis (a duplicated horizon or source) hands out its places in turn, in
+    the order its records arrive.  Only small per-axis maps are built, never
+    a per-cell index, so reordering a large campaign costs little memory.
+    """
+    source_order = [index for group in _source_groups(plan) for index in group]
+    axes = (
+        _plan_horizons(plan),
+        tuple(float(m) for m in plan.rate_multipliers),
+        tuple(scenario.name for scenario in plan.scenarios),
+        tuple(
+            (source.configuration, source.rho, source.algorithm)
+            for source in (plan.sources[index] for index in source_order)
+        ),
+    )
+    places: list[dict] = []
+    for values in axes:
+        by_value: dict = {}
+        for place, value in enumerate(values):
+            by_value.setdefault(value, []).append(place)
+        places.append(by_value)
+    records = list(records)
+    taken: dict[tuple, int] = {}
+    positions = []
+    for record in records:
+        coordinates = (
+            record.horizon, record.rate_multiplier, record.scenario,
+            (record.configuration, record.rho, record.algorithm),
+        )
+        try:
+            choices = [by_value[value] for by_value, value in zip(places, coordinates)]
+        except KeyError:
+            raise ConfigurationError(
+                f"a record at {coordinates} matches no cell of plan {plan.name!r}"
+            ) from None
+        cell = [choice[0] for choice in choices]
+        if any(len(choice) > 1 for choice in choices):
+            turn = taken.get(coordinates, 0)
+            taken[coordinates] = turn + 1
+            cell = list(itertools.product(*choices))[turn]
+        position = 0
+        for values, place in zip(axes, cell):
+            position = position * len(values) + place
+        positions.append(position)
+    return [records[i] for i in sorted(range(len(records)), key=positions.__getitem__)]
 
 
 def run_validation(
@@ -1335,15 +1473,18 @@ def run_validation(
     parallelise), optionally checkpointed per unit into a
     :class:`ValidationStore` (or a :class:`ShardedStore` directory) and
     resumable with ``resume=True``.  Records are reassembled in canonical
-    unit order, so backend choice and completion order never change the
-    result — the simulation itself is deterministic.
+    cell order (:func:`plan_cells`), so backend choice, sharding and
+    completion order never change the result — the simulation itself is
+    deterministic.
 
-    ``chunk_policy`` is the one sharding knob: ``None`` keeps one
-    :class:`ValidationUnit` per (horizon, multiplier, scenario,
-    configuration) group, while ``'adaptive'``, ``'target:SECONDS'`` or
-    ``'cells:N'`` shard into contiguous :class:`ValidationChunk` spans of the
-    canonical cell list, sized so each shard amortises the pool's
-    fork/pickle overhead; record bytes are identical either way.  ``memo``
+    Every unit holds whole streams, each simulated once to the longest
+    horizon.  ``chunk_policy`` is the one sharding knob: ``None`` cuts each
+    (multiplier, scenario, configuration) group into
+    ``len(horizons)``-th slices of :class:`ValidationUnit`, while
+    ``'adaptive'``, ``'target:SECONDS'`` or ``'cells:N'`` shard into
+    contiguous :class:`ValidationChunk` spans of the canonical stream list,
+    sized so each shard amortises the pool's fork/pickle overhead; record
+    bytes are identical either way.  ``memo``
     attaches a :class:`~repro.experiments.memo.ResultMemoStore`: cells whose
     ``(study, cell)`` fingerprints are cached are served without simulating,
     freshly computed cells are written back, and the result's ``memo_stats``
@@ -1360,7 +1501,7 @@ def run_validation(
     units = _plan_units_for_run(
         plan, backend=backend, store=store, resume=resume, chunk_policy=chunk_policy
     )
-    cells = plan_cells(plan) if memo is not None else []
+    streams = _plan_streams(plan) if memo is not None else []
     records, memo_stats = drive_units(
         plan,
         units,
@@ -1371,10 +1512,12 @@ def run_validation(
         memo=memo,
         study_key=_memo_study_key(plan) if memo is not None else "",
         cell_keys=lambda unit: [
-            _memo_cell_key(plan, cell) for cell in _unit_cells(plan, unit, cells)
+            _memo_cell_key(plan, cell) for cell in _unit_cells(plan, unit, streams)
         ],
         records_per_cell=1,
         parse_record=ValidationRecord.from_dict,
         describe=lambda unit, records: _describe_unit(plan, unit, records),
     )
-    return CampaignResult(plan=plan, records=records, memo_stats=memo_stats)
+    return CampaignResult(
+        plan=plan, records=_canonical_order(plan, records), memo_stats=memo_stats
+    )

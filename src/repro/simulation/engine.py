@@ -16,7 +16,8 @@ the execution of the data-set stream on the rented instances:
   window take no new work until the window ends);
 * the simulation stops at a configurable horizon and reports the achieved
   output throughput, latencies, per-type utilisation and the peak reorder
-  buffer occupancy (see :class:`~repro.simulation.metrics.SimulationReport`).
+  buffer occupancy (see :class:`~repro.simulation.metrics.SimulationReport`)
+  — also, from the same pass, at any shorter horizons the caller lists.
 
 Two engine implementations share this model.  ``engine="fast"`` (the default)
 is an inlined hot loop: raw ``(time, seq, kind, arg)`` heap tuples, per-recipe
@@ -41,6 +42,7 @@ cost model makes no promise about.
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
+from typing import Sequence
 
 from ..core.allocation import Allocation
 from ..core.exceptions import SimulationError
@@ -59,6 +61,14 @@ __all__ = ["StreamSimulator"]
 _ARRIVAL = int(EventKind.ARRIVAL)
 _TASK_COMPLETE = int(EventKind.TASK_COMPLETE)
 _RESUME = int(EventKind.RESUME)
+
+
+def _recipe_mix(assigned: list[int]) -> tuple[float, ...]:
+    """Fraction of the routed data sets per recipe (all zeros before any arrival)."""
+    total = sum(assigned)
+    if total:
+        return tuple(count / total for count in assigned)
+    return tuple(0.0 for _ in assigned)
 
 
 class StreamSimulator:
@@ -120,13 +130,40 @@ class StreamSimulator:
         self.engine = engine
 
     # ------------------------------------------------------------------ #
-    def run(self, horizon: float = 50.0, *, max_datasets: int | None = None) -> SimulationReport:
-        """Run the simulation until ``horizon`` time units (or ``max_datasets`` arrivals)."""
+    def run(
+        self,
+        horizon: float = 50.0,
+        *,
+        max_datasets: int | None = None,
+        prefixes: Sequence[float] = (),
+    ) -> SimulationReport:
+        """Run the simulation until ``horizon`` time units (or ``max_datasets`` arrivals).
+
+        ``prefixes`` are shorter horizons to report on along the way: the
+        returned report (the one at ``horizon``) carries one report per
+        prefix, in ascending horizon order, as ``metadata["prefix_reports"]``.
+        Each equals the report of a separate ``run(prefix)``: the events up to
+        a prefix are the same events in the same ``(time, seq)`` order however
+        far the run goes on, so the fast engine takes every prefix report from
+        its one pass.  (The reference engine, the oracle, runs each prefix as
+        a separate pass.)  Only the returned report carries
+        ``event_counters``, and they count the whole pass.
+        """
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
+        stops = sorted({float(prefix) for prefix in prefixes})
+        if stops and not (0 < stops[0] and stops[-1] < horizon):
+            raise SimulationError(
+                f"prefix horizons must lie in (0, {horizon}), got {list(prefixes)}"
+            )
         if self.engine == "fast":
-            return self._run_fast(horizon, max_datasets)
-        return self._run_reference(horizon, max_datasets)
+            return self._run_fast(horizon, max_datasets, stops)
+        report = self._run_reference(horizon, max_datasets)
+        if stops:
+            report.metadata["prefix_reports"] = tuple(
+                self._run_reference(stop, max_datasets) for stop in stops
+            )
+        return report
 
     # ------------------------------------------------------------------ #
     # shared setup
@@ -203,7 +240,9 @@ class StreamSimulator:
             taskinfo, npred = info_by_id, npred_by_id
         return taskinfo, npred, tuple(recipe.sources()), recipe.num_tasks
 
-    def _run_fast(self, horizon: float, max_datasets: int | None) -> SimulationReport:
+    def _run_fast(
+        self, horizon: float, max_datasets: int | None, prefixes: list[float]
+    ) -> SimulationReport:
         """The inlined hot loop.
 
         Everything per-event is local: raw ``(time, seq, kind, arg)`` tuples
@@ -217,6 +256,12 @@ class StreamSimulator:
         never touches.  ``ProcessorInstance.completed_tasks`` is not
         maintained here (nothing in a report reads it); every report field is
         byte-identical to the reference engine's.
+
+        The loop stops at the next of the sorted stop horizons (``prefixes``,
+        then ``horizon``): popping the first event past a prefix snapshots
+        that prefix's report from the live state before the event is
+        processed, which is the state a run ending at the prefix stops in.
+        The stop test is the one comparison a single-horizon run makes anyway.
         """
         pool, arrival_times = self._build_pool()
         recipes = self.problem.application.recipes()
@@ -272,11 +317,21 @@ class StreamSimulator:
             events.append((first_arrival, 0, _ARRIVAL, 0))
             seq = 1
         now = 0.0
+        prefix_reports: list[SimulationReport] = []
+        stops = [*prefixes, horizon]
+        stop = stops[0]
         while events:
             ev = pop(events)
             now = ev[0]
-            if now > horizon:
-                break
+            if now > stop:
+                while now > stop and len(prefix_reports) < len(prefixes):
+                    prefix_reports.append(self._report(
+                        stop, arrivals, latencies, completions, pool, reorder_peak,
+                        _recipe_mix(assigned), len(datasets), peak_in_flight,
+                    ))
+                    stop = stops[len(prefix_reports)]
+                if now > stop:  # past the run's own horizon
+                    break
             kind = ev[2]
 
             if kind == 1:  # TASK_COMPLETE — one per task served, the hottest arm
@@ -501,12 +556,14 @@ class StreamSimulator:
                         push(events, (until, seq, 1, inst))
                         seq += 1
 
-        total_routed = sum(assigned)
-        if total_routed:
-            recipe_mix = tuple(count / total_routed for count in assigned)
-        else:
-            recipe_mix = tuple(0.0 for _ in weights)
-        return self._report(
+        # if the event heap ran dry first, every prefix not yet passed ends here
+        recipe_mix = _recipe_mix(assigned)
+        for stop in prefixes[len(prefix_reports):]:
+            prefix_reports.append(self._report(
+                stop, arrivals, latencies, completions, pool, reorder_peak,
+                recipe_mix, len(datasets), peak_in_flight,
+            ))
+        report = self._report(
             horizon, arrivals, latencies, completions, pool, reorder_peak,
             recipe_mix, len(datasets), peak_in_flight,
             event_counters={
@@ -515,6 +572,9 @@ class StreamSimulator:
                 "dispatch_scan": dispatch_scan,
             },
         )
+        if prefixes:
+            report.metadata["prefix_reports"] = tuple(prefix_reports)
+        return report
 
     # ------------------------------------------------------------------ #
     # reference engine (the original loop, kept as the equivalence oracle)

@@ -2,12 +2,14 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.core import ConfigurationError
 from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.config import default_plan
+from repro.experiments.memo import ResultMemoStore
 from repro.experiments.runner import AllocationPayload, RunRecord, SweepResult, run_plan
 from repro.experiments.store import SweepStore, load_sweep_result
 from repro.experiments.validation import (
@@ -154,8 +156,9 @@ class TestUnits:
     def test_units_cover_the_grid(self, campaign_plan):
         units = plan_validation_units(campaign_plan)
         covered = {
-            (unit.horizon, unit.rate_multiplier, source)
+            (horizon, unit.rate_multiplier, source)
             for unit in units
+            for horizon in unit.horizons
             for source in unit.sources
         }
         expected = {
@@ -361,8 +364,9 @@ class TestScenarioAxis:
         assert scenario_plan.num_simulations == len(scenario_plan.sources) * 3
         units = plan_validation_units(scenario_plan)
         covered = {
-            (unit.horizon, unit.rate_multiplier, unit.scenario, source)
+            (horizon, unit.rate_multiplier, unit.scenario, source)
             for unit in units
+            for horizon in unit.horizons
             for source in unit.sources
         }
         expected = {
@@ -465,6 +469,157 @@ class TestScenarioAxis:
         for name in baseline.series:
             for clean, noisy in zip(baseline.series[name], stressed.series[name]):
                 assert noisy <= clean + 0.05
+
+
+# --------------------------------------------------------------------------- #
+# streams: one DES pass per (source, multiplier, scenario) for every horizon
+# --------------------------------------------------------------------------- #
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="module")
+def stream_plan(captured_sweep) -> ValidationPlan:
+    return plan_from_sweep(
+        captured_sweep, horizons=(4.0, 8.0), rate_multipliers=(1.0, 1.05),
+        scenarios=SCENARIOS[:2],
+    )
+
+
+@pytest.fixture(scope="module")
+def stream_campaign(stream_plan) -> CampaignResult:
+    return run_validation(stream_plan)
+
+
+def _interrupted(plan, path, **kwargs):
+    """Run ``plan`` into the store at ``path`` and stop it after two units."""
+
+    class _Interrupt(Exception):
+        pass
+
+    done = 0
+
+    def tripwire(_msg):
+        nonlocal done
+        done += 1
+        if done >= 2:
+            raise _Interrupt
+
+    with pytest.raises(_Interrupt):
+        run_validation(plan, store=ValidationStore(path), progress=tripwire, **kwargs)
+
+
+def _legacy_copy(tmp_path, name, *, drop_units=0):
+    """A copy of a checkpoint written by the per-cell code, minus its last units."""
+    lines = (DATA / name).read_text().splitlines(keepends=True)
+    path = tmp_path / name
+    path.write_text("".join(lines[: len(lines) - drop_units]))
+    return path
+
+
+class TestStreams:
+    def test_units_hold_whole_streams(self, stream_plan):
+        units = plan_validation_units(stream_plan)
+        # four sources per configuration and two horizons: slices of two
+        # sources, so a unit carries as many records as a per-horizon one
+        streams = len(stream_plan.rate_multipliers) * len(stream_plan.scenarios) * len(
+            stream_plan.sources
+        )
+        assert len(units) == streams // 2
+        for unit in units:
+            assert unit.horizons == (4.0, 8.0)
+            assert len(unit.sources) == 2
+            assert len({stream_plan.sources[s].configuration for s in unit.sources}) == 1
+            assert unit.as_dict()["horizons"] == [4.0, 8.0]
+            assert "horizon" not in unit.as_dict()
+            assert ValidationUnit.from_dict(unit.as_dict()) == unit
+
+    def test_single_horizon_units_keep_the_per_horizon_dict(self, campaign_plan):
+        for unit in plan_validation_units(campaign_plan):
+            data = unit.as_dict()
+            assert list(data) == ["index", "horizon", "rate_multiplier", "sources"]
+            assert len(unit.sources) == 4  # a whole configuration group
+
+    def test_records_equal_per_horizon_campaigns_in_cell_order(
+        self, captured_sweep, stream_plan, stream_campaign
+    ):
+        expected = []
+        for horizon in stream_plan.horizons:
+            single = replace(stream_plan, horizons=(horizon,))
+            expected += record_lines(run_validation(single))
+        assert record_lines(stream_campaign) == expected
+
+    def test_pool_chunked_and_resume_byte_identical(
+        self, tmp_path, stream_plan, stream_campaign
+    ):
+        lines = record_lines(stream_campaign)
+        pooled = run_validation(stream_plan, backend=ProcessPoolBackend(2))
+        assert record_lines(pooled) == lines
+        for policy in ("cells:1", "cells:5", "adaptive"):
+            assert record_lines(run_validation(stream_plan, chunk_policy=policy)) == lines
+        for policy in (None, "cells:5"):
+            path = tmp_path / f"stream-{policy}.jsonl"
+            _interrupted(stream_plan, path, chunk_policy=policy)
+            resumed = run_validation(
+                stream_plan, store=ValidationStore(path), resume=True, chunk_policy=policy
+            )
+            assert record_lines(resumed) == lines
+            assert record_lines(load_campaign(path)) == lines
+
+    def test_memo_keys_stay_per_cell(self, tmp_path, stream_plan, stream_campaign):
+        path = tmp_path / "memo.jsonl"
+        cells = stream_plan.num_simulations
+        first = run_validation(stream_plan, memo=ResultMemoStore(path))
+        assert first.memo_stats.as_dict() == {"hits": 0, "misses": cells}
+        second = run_validation(stream_plan, memo=ResultMemoStore(path))
+        assert second.memo_stats.as_dict() == {"hits": cells, "misses": 0}
+        assert record_lines(second) == record_lines(first) == record_lines(stream_campaign)
+        # a single-horizon campaign reads its cells out of the multi-horizon run
+        longest = replace(stream_plan, horizons=(8.0,))
+        served = run_validation(longest, memo=ResultMemoStore(path))
+        assert served.memo_stats.misses == 0
+        assert record_lines(served) == record_lines(run_validation(longest))
+
+    def test_unsorted_and_duplicated_horizons(self, captured_sweep):
+        plan = plan_from_sweep(captured_sweep, horizons=(8.0, 4.0, 8.0))
+        expected = []
+        for horizon in plan.horizons:
+            expected += record_lines(run_validation(replace(plan, horizons=(horizon,))))
+        assert record_lines(run_validation(plan)) == expected
+        assert record_lines(run_validation(plan, chunk_policy="cells:2")) == expected
+
+    def test_screened_streams_equal_per_horizon_campaigns(self, captured_sweep, screen_grid):
+        plan = plan_from_sweep(
+            captured_sweep, screen="fluid", **{**screen_grid, "horizons": (10.0, 5.0)}
+        )
+        expected = []
+        for horizon in plan.horizons:
+            expected += record_lines(run_validation(replace(plan, horizons=(horizon,))))
+        assert record_lines(run_validation(plan)) == expected
+        assert {json.loads(line).get("tier", "des") for line in expected} == {"des", "fluid"}
+
+    @pytest.mark.parametrize("name", ["legacy-per-horizon.jsonl", "legacy-cells.jsonl"])
+    def test_finished_legacy_checkpoint_loads_byte_identically(self, name):
+        loaded = load_campaign(DATA / name)
+        assert len(loaded.records) == loaded.plan.num_simulations
+        assert record_lines(loaded) == record_lines(run_validation(loaded.plan))
+
+    @pytest.mark.parametrize(
+        "name, policy",
+        [("legacy-per-horizon.jsonl", None), ("legacy-cells.jsonl", "cells:3")],
+    )
+    def test_unfinished_legacy_checkpoint_refuses_resume(self, tmp_path, name, policy):
+        path = _legacy_copy(tmp_path, name, drop_units=2)
+        plan = load_campaign(path, allow_partial=True).plan
+        with pytest.raises(ConfigurationError, match="different work-unit sharding"):
+            run_validation(plan, store=ValidationStore(path), resume=True, chunk_policy=policy)
+
+    def test_legacy_memo_still_hits(self, tmp_path):
+        plan = load_campaign(DATA / "legacy-per-horizon.jsonl").plan
+        memo = ResultMemoStore(_legacy_copy(tmp_path, "legacy-memo.jsonl"))
+        served = run_validation(plan, memo=memo)
+        assert served.memo_stats.as_dict() == {"hits": plan.num_simulations, "misses": 0}
+        assert record_lines(served) == record_lines(run_validation(plan))
 
 
 class TestValidationStore:

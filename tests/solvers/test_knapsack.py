@@ -57,20 +57,26 @@ class TestCoveringKnapsack:
         rates, costs = rates[:size], costs[:size]
         dp_cost, dp_counts = solve_covering_knapsack(rates, costs, demand)
         assert np.dot(dp_counts, rates) >= demand
-        # brute force over small count vectors
+        # brute force over small count vectors; costs are non-negative, so
+        # once a prefix covers the demand its cheapest completion is all
+        # zeros and a higher count of the current type only adds cost
         best = None
         max_count = demand // min(rates) + 1 if demand else 0
-        def recurse(idx, counts):
+
+        def recurse(idx, covered, cost):
             nonlocal best
+            if covered >= demand:
+                if best is None or cost < best:
+                    best = cost
+                return
             if idx == size:
-                if np.dot(counts, rates) >= demand:
-                    value = float(np.dot(counts, costs))
-                    if best is None or value < best:
-                        best = value
                 return
             for c in range(max_count + 1):
-                recurse(idx + 1, counts + [c])
-        recurse(0, [])
+                recurse(idx + 1, covered + c * rates[idx], cost + c * costs[idx])
+                if covered + c * rates[idx] >= demand:
+                    break
+
+        recurse(0, 0, 0)
         assert best is not None
         assert dp_cost == pytest.approx(best)
 
