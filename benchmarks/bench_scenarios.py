@@ -18,7 +18,7 @@ wall-clock into ``BENCH_scenarios.json``:
 * **resume** — the campaign is interrupted after a fixed number of
   checkpointed work units and resumed, asserting byte-identity again.
 
-The report also samples the fast engine's event-core counters (heappush /
+The report also samples the engine's event-core counters (heappush /
 heappop / dispatch-scan totals of one representative simulation) so the
 ROADMAP's calendar-queue question can be answered from bench artifacts.
 
@@ -104,7 +104,7 @@ def assert_pre_scenario_format(plan: ValidationPlan) -> None:
 def sample_event_counters(plan: ValidationPlan) -> dict:
     """Event-core counters of one representative simulation of the campaign.
 
-    Replays the first grid cell through the fast engine directly and returns
+    Replays the first grid cell through the engine directly and returns
     ``metadata["event_counters"]`` — the heap-traffic numbers behind the
     ROADMAP's "calendar queue?" question, captured per bench run instead of
     requiring a cProfile session.

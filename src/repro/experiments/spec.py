@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -375,10 +376,14 @@ class ValidationSpec:
         object.__setattr__(self, "horizons", horizons)
         object.__setattr__(self, "rate_multipliers", multipliers)
         object.__setattr__(self, "warmup_fraction", float(self.warmup_fraction))
-        if not horizons or any(h <= 0 for h in horizons):
-            raise ConfigurationError(f"horizons must be positive, got {horizons}")
-        if not multipliers or any(m <= 0 for m in multipliers):
-            raise ConfigurationError(f"rate multipliers must be positive, got {multipliers}")
+        # an infinite horizon or multiplier would start a simulation that
+        # never ends; NaN would pass every comparison below and give garbage
+        if not horizons or not all(math.isfinite(h) and h > 0 for h in horizons):
+            raise ConfigurationError(f"horizons must be finite and positive, got {horizons}")
+        if not multipliers or not all(math.isfinite(m) and m > 0 for m in multipliers):
+            raise ConfigurationError(
+                f"rate multipliers must be finite and positive, got {multipliers}"
+            )
         if not (0 <= self.warmup_fraction < 1):
             raise ConfigurationError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"

@@ -196,11 +196,15 @@ class ValidationPlan:
     def __post_init__(self) -> None:
         if not self.sources:
             raise ConfigurationError("a validation plan needs at least one allocation source")
-        if not self.horizons or any(h <= 0 for h in self.horizons):
-            raise ConfigurationError(f"horizons must be positive, got {self.horizons}")
-        if not self.rate_multipliers or any(m <= 0 for m in self.rate_multipliers):
+        if not self.horizons or not all(math.isfinite(h) and h > 0 for h in self.horizons):
             raise ConfigurationError(
-                f"rate multipliers must be positive, got {self.rate_multipliers}"
+                f"horizons must be finite and positive, got {self.horizons}"
+            )
+        if not self.rate_multipliers or not all(
+            math.isfinite(m) and m > 0 for m in self.rate_multipliers
+        ):
+            raise ConfigurationError(
+                f"rate multipliers must be finite and positive, got {self.rate_multipliers}"
             )
         if not (0 <= self.warmup_fraction < 1):
             raise ConfigurationError(

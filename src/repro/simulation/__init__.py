@@ -1,9 +1,8 @@
 """Discrete-event steady-state stream simulator (allocation validation substrate)."""
 
 from .engine import StreamSimulator
-from .events import Event, EventKind, EventQueue
 from .metrics import SimulationReport
-from .processor import PendingTask, ProcessorInstance, ProcessorPool
+from .processor import ProcessorInstance, ProcessorPool
 from .scenarios import (
     DEFAULT_SCENARIO,
     ArrivalProcess,
@@ -16,16 +15,11 @@ from .scenarios import (
     arrival_process_from_dict,
     parse_arrival_spec,
 )
-from .stream import DataSetInstance, RecipeRouter, ReorderBuffer
 from .validate import ValidationResult, simulate_allocation, static_check, validate_allocation
 
 __all__ = [
     "StreamSimulator",
-    "Event",
-    "EventKind",
-    "EventQueue",
     "SimulationReport",
-    "PendingTask",
     "ProcessorInstance",
     "ProcessorPool",
     "ArrivalProcess",
@@ -38,9 +32,6 @@ __all__ = [
     "FailureWindow",
     "ScenarioSpec",
     "DEFAULT_SCENARIO",
-    "DataSetInstance",
-    "RecipeRouter",
-    "ReorderBuffer",
     "ValidationResult",
     "simulate_allocation",
     "static_check",

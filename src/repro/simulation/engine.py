@@ -19,18 +19,20 @@ the execution of the data-set stream on the rented instances:
   buffer occupancy (see :class:`~repro.simulation.metrics.SimulationReport`)
   — also, from the same pass, at any shorter horizons the caller lists.
 
-Two engine implementations share this model.  ``engine="fast"`` (the default)
-is an inlined hot loop: raw ``(time, seq, kind, arg)`` heap tuples, per-recipe
-precomputed task tables (work, successor list, dispatch heap of the task's
-type), data sets as plain lists, a pure-Python stride router, and per-type
-heap-indexed least-loaded selection.  ``engine="reference"`` is the original
-object-per-concept loop (``EventQueue`` /
-:class:`~repro.simulation.stream.DataSetInstance` /
-:class:`~repro.simulation.stream.RecipeRouter` / the linear least-loaded
-scan).  Both push events in the exact same order, so they produce identical
-``(time, sequence)`` event streams and byte-identical reports — the test suite
-asserts this across randomized scenarios, which is what lets validation
-records stay byte-identical to pre-optimization checkpoints.
+The loop is inlined for speed: raw ``(time, seq, kind, arg)`` heap tuples,
+per-recipe precomputed task tables (work, successor list, dispatch heap of the
+task's type), data sets as plain lists, a pure-Python stride router, and
+per-type heap-indexed least-loaded selection.  Ties between equal-time events
+break on ``seq``, the push counter, so a run is fully deterministic.  The test
+suite replays the same model through an independent object-per-concept
+reference loop (``tests/simulation/oracle.py``) and asserts byte-identical
+reports across randomized scenarios.
+
+**Time invariant.** Event times are validated at the *schedule boundaries*,
+not per push: the first arrival is checked for negativity and every later
+arrival for monotonicity as it is drawn from the arrival process; completion
+times are ``now + duration`` with ``duration > 0``, and wake-ups are
+``next_available(now) >= now``.
 
 This substrate is not part of the paper's evaluation (which only compares
 allocation costs); it is used to *validate* that the allocations produced by
@@ -41,6 +43,7 @@ cost model makes no promise about.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush, heapreplace
 from typing import Sequence
 
@@ -49,18 +52,18 @@ from ..core.exceptions import SimulationError
 from ..core.graph import RecipeGraph
 from ..core.problem import MinCostProblem
 from ..utils.rng import spawn_generators
-from .events import EventKind, EventQueue
 from .metrics import SimulationReport
-from .processor import PendingTask, ProcessorInstance, ProcessorPool
+from .processor import ProcessorPool
 from .scenarios import DEFAULT_SCENARIO, ScenarioSpec
-from .stream import DataSetInstance, RecipeRouter, ReorderBuffer
 
 __all__ = ["StreamSimulator"]
 
-# raw event-kind integers for the fast loop (EventKind members, as plain ints)
-_ARRIVAL = int(EventKind.ARRIVAL)
-_TASK_COMPLETE = int(EventKind.TASK_COMPLETE)
-_RESUME = int(EventKind.RESUME)
+# event kinds: a data set enters the system; an instance finishes its task in
+# service; an instance leaves a failure window with work queued.  The loop
+# compares against the literal values (a constant lookup per event costs more)
+_ARRIVAL = 0
+_TASK_COMPLETE = 1
+_RESUME = 2
 
 
 def _recipe_mix(assigned: list[int]) -> tuple[float, ...]:
@@ -95,11 +98,6 @@ class StreamSimulator:
         Seed for the scenario's stochastic draws (arrival gaps, which
         instances fail).  The default scenario consumes no randomness, so the
         seed only matters for stochastic scenarios.
-    engine:
-        ``"fast"`` (default) runs the inlined hot loop; ``"reference"`` runs
-        the original loop.  Both produce byte-identical reports — the
-        reference engine exists as the independent implementation the
-        equivalence tests compare against.
     """
 
     def __init__(
@@ -111,23 +109,21 @@ class StreamSimulator:
         warmup_fraction: float = 0.1,
         scenario: ScenarioSpec | None = None,
         seed: int = 0,
-        engine: str = "fast",
     ) -> None:
         if not allocation.split.total > 0:
             raise SimulationError("cannot simulate an allocation with zero total throughput")
         if not (0 <= warmup_fraction < 1):
             raise SimulationError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
-        if engine not in ("fast", "reference"):
-            raise SimulationError(f"unknown engine {engine!r} (choose 'fast' or 'reference')")
         self.problem = problem
         self.allocation = allocation
         self.arrival_rate = float(arrival_rate if arrival_rate is not None else problem.target_throughput)
-        if self.arrival_rate <= 0:
-            raise SimulationError(f"arrival rate must be positive, got {self.arrival_rate}")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise SimulationError(
+                f"arrival rate must be finite and positive, got {self.arrival_rate}"
+            )
         self.warmup_fraction = float(warmup_fraction)
         self.scenario = scenario if scenario is not None else DEFAULT_SCENARIO
         self.seed = int(seed)
-        self.engine = engine
 
     # ------------------------------------------------------------------ #
     def run(
@@ -144,29 +140,19 @@ class StreamSimulator:
         prefix, in ascending horizon order, as ``metadata["prefix_reports"]``.
         Each equals the report of a separate ``run(prefix)``: the events up to
         a prefix are the same events in the same ``(time, seq)`` order however
-        far the run goes on, so the fast engine takes every prefix report from
-        its one pass.  (The reference engine, the oracle, runs each prefix as
-        a separate pass.)  Only the returned report carries
-        ``event_counters``, and they count the whole pass.
+        far the run goes on, so every prefix report comes from the one pass.
+        Only the returned report carries ``event_counters``, and they count
+        the whole pass.
         """
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon}")
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise SimulationError(f"horizon must be finite and positive, got {horizon}")
         stops = sorted({float(prefix) for prefix in prefixes})
         if stops and not (0 < stops[0] and stops[-1] < horizon):
             raise SimulationError(
                 f"prefix horizons must lie in (0, {horizon}), got {list(prefixes)}"
             )
-        if self.engine == "fast":
-            return self._run_fast(horizon, max_datasets, stops)
-        report = self._run_reference(horizon, max_datasets)
-        if stops:
-            report.metadata["prefix_reports"] = tuple(
-                self._run_reference(stop, max_datasets) for stop in stops
-            )
-        return report
+        return self._run_fast(horizon, max_datasets, stops)
 
-    # ------------------------------------------------------------------ #
-    # shared setup
     # ------------------------------------------------------------------ #
     def _build_pool(self) -> tuple[ProcessorPool, "object"]:
         """Build the seeded processor pool and the arrival-time stream."""
@@ -183,7 +169,7 @@ class StreamSimulator:
 
         Event times are validated here and at every subsequent draw (the
         monotonicity check in the loop) rather than per event push — see the
-        invariant documented in :mod:`repro.simulation.events`.
+        time invariant in the module docstring.
         """
         first = next(arrival_times)
         if first < 0:
@@ -193,9 +179,6 @@ class StreamSimulator:
             )
         return first
 
-    # ------------------------------------------------------------------ #
-    # fast engine
-    # ------------------------------------------------------------------ #
     def _profile(self, recipe: RecipeGraph, pool: ProcessorPool) -> tuple:
         """Precompute the per-recipe task table the fast loop indexes.
 
@@ -204,15 +187,14 @@ class StreamSimulator:
         *selector* is the type's dispatch heap (heap-indexed group), the
         instance tuple (small group, direct least-loaded walk), or ``None``
         for a type the allocation does not rent — an error only if such a
-        task is actually dispatched, exactly like the reference's selection;
+        task is actually dispatched, exactly like the pool's selection;
         *guard* is the end of the type's last failure window (0.0 when never
         affected), before which dispatch must run the availability-filtered
         scan.  ``npred`` is the remaining-predecessor template copied per
         data set.  Both are lists indexed by task id when the ids are dense
         (the common case), dicts otherwise — the loop subscripts either.
-        Successor/source orders are captured once from the same live graph
-        the reference engine queries per completion, so the dispatch order is
-        bit-for-bit the reference's.
+        Successor/source orders are captured once from the live graph, so
+        ready tasks dispatch in the graph's own successor order.
         """
         ids = recipe.task_ids()
         info_by_id = {}
@@ -253,9 +235,7 @@ class StreamSimulator:
         pool's lazy heap (with ``heapreplace`` fusing the selected entry's
         key update) for large ones; availability is a single ``now < guard``
         float comparison per dispatch, 0.0 for everything a failure window
-        never touches.  ``ProcessorInstance.completed_tasks`` is not
-        maintained here (nothing in a report reads it); every report field is
-        byte-identical to the reference engine's.
+        never touches.
 
         The loop stops at the next of the sorted stop horizons (``prefixes``,
         then ``horizon``): popping the first event past a prefix snapshots
@@ -267,9 +247,9 @@ class StreamSimulator:
         recipes = self.problem.application.recipes()
         profiles = [self._profile(recipe, pool) for recipe in recipes]
 
-        # pure-Python stride router state (reference: RecipeRouter) — data set
-        # i goes to the active recipe j minimising (assigned_j + 1) / rho_j;
-        # first index wins ties, matching np.argmin's first-minimum semantics
+        # pure-Python stride router state — data set i goes to the active
+        # recipe j minimising (assigned_j + 1) / rho_j; the first index wins
+        # ties, which keeps the realised mix within one data set of the split
         weights = [float(v) for v in self.allocation.split.values]
         if sum(weights) <= 0:
             raise SimulationError("cannot route a stream with an all-zero throughput split")
@@ -299,8 +279,7 @@ class StreamSimulator:
         reorder_peak = 0
 
         # raw (time, seq, kind, arg) event tuples on a local heap; `seq`
-        # increments per push exactly like EventQueue's counter, so the
-        # (time, sequence) stream matches the reference engine's event order
+        # increments per push, so equal-time events pop in push order
         events: list = []
         seq = 0  # total event-heap pushes, doubling as the heappush counter
         dispatch_scan = 0  # instances examined while picking dispatch targets
@@ -575,120 +554,6 @@ class StreamSimulator:
         if prefixes:
             report.metadata["prefix_reports"] = tuple(prefix_reports)
         return report
-
-    # ------------------------------------------------------------------ #
-    # reference engine (the original loop, kept as the equivalence oracle)
-    # ------------------------------------------------------------------ #
-    def _run_reference(self, horizon: float, max_datasets: int | None) -> SimulationReport:
-        pool, arrival_times = self._build_pool()
-        router = RecipeRouter(self.allocation.split)
-        reorder = ReorderBuffer()
-        queue = EventQueue()
-        recipes = self.problem.application.recipes()
-
-        datasets: dict[int, DataSetInstance] = {}
-        peak_in_flight = 0
-        latencies: list[float] = []
-        completions: list[tuple[float, float]] = []
-        arrivals = 0
-
-        first_arrival = self._first_arrival(arrival_times)
-        if first_arrival <= horizon:
-            queue.push(first_arrival, EventKind.ARRIVAL, 0)
-        now = 0.0
-        while queue:
-            event = queue.pop()
-            now = event.time
-            if now > horizon:
-                break
-            if event.kind == EventKind.ARRIVAL:
-                dataset_id = event.arg
-                if max_datasets is not None and dataset_id >= max_datasets:
-                    continue
-                recipe_index = router.route()
-                dataset = DataSetInstance(dataset_id, recipe_index, recipes[recipe_index], now)
-                datasets[dataset_id] = dataset
-                arrivals += 1
-                peak_in_flight = max(peak_in_flight, len(datasets))
-                for task_id in dataset.initial_tasks():
-                    self._dispatch(pool, queue, dataset, task_id, now)
-                next_time = next(arrival_times)
-                if next_time < now:
-                    raise SimulationError(
-                        f"arrival process {self.scenario.arrival.kind!r} went backwards "
-                        f"({next_time} after {now})"
-                    )
-                if next_time <= horizon:
-                    queue.push(next_time, EventKind.ARRIVAL, dataset_id + 1)
-            elif event.kind == EventKind.TASK_COMPLETE:
-                instance = event.arg
-                finished = instance.finish_current(now)
-                dataset = datasets[finished.dataset_id]
-                for ready in dataset.complete_task(finished.task_id, now):
-                    self._dispatch(pool, queue, dataset, ready, now)
-                if dataset.is_complete:
-                    latency = dataset.latency
-                    if latency is None:
-                        # completion bookkeeping failed to stamp the data set;
-                        # recording 0.0 here would silently poison mean_latency
-                        raise SimulationError(
-                            f"data set {dataset.dataset_id} completed at t={now} "
-                            "without a completion timestamp"
-                        )
-                    latencies.append(latency)
-                    completions.append((dataset.arrival_time, now))
-                    reorder.complete(dataset.dataset_id)
-                    del datasets[dataset.dataset_id]
-                # The instance is free: start its next queued task, if any.
-                self._start_or_wake(queue, instance, now)
-            elif event.kind == EventKind.RESUME:
-                # a failure window ended on an instance with queued work
-                instance = event.arg
-                instance.wake_at = None
-                self._start_or_wake(queue, instance, now)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown event kind {event.kind!r}")
-
-        recipe_mix = tuple(float(x) for x in router.mix())
-        return self._report(
-            horizon, arrivals, latencies, completions, pool, reorder.peak_occupancy,
-            recipe_mix, len(datasets), peak_in_flight,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, pool, queue, dataset: DataSetInstance, task_id: int, now: float) -> None:
-        """Send a ready task to the least-loaded available instance of its type.
-
-        Reference-engine path: selection goes through the original linear
-        scan, keeping this implementation independent of the heap index the
-        fast engine (and :meth:`ProcessorPool.select_instance`) relies on.
-        """
-        task = dataset.recipe.task(task_id)
-        instance = pool.select_instance_scan(task.task_type, now)
-        dataset.mark_started(task_id)
-        instance.enqueue(PendingTask(dataset.dataset_id, task_id, task.work))
-        self._start_or_wake(queue, instance, now)
-
-    def _start_or_wake(
-        self, queue: EventQueue, instance: ProcessorInstance, now: float
-    ) -> None:
-        """Start the instance's next task, or schedule a post-failure wake-up.
-
-        When the instance is idle with queued work but inside a failure
-        window, a single ``RESUME`` event is scheduled at the window's end
-        (``wake_at`` dedupes — several dispatches during one window must not
-        pile up wake-ups).
-        """
-        started = instance.start_next(now)
-        if started is not None:
-            _task, completion = started
-            queue.push(completion, EventKind.TASK_COMPLETE, instance)
-            return
-        if instance.current is None and instance.queue:
-            wake = instance.next_available(now)
-            if wake > now and instance.wake_at != wake:
-                instance.wake_at = wake
-                queue.push(wake, EventKind.RESUME, instance)
 
     # ------------------------------------------------------------------ #
     def _report(

@@ -7,19 +7,18 @@ rate ``r_q`` (a task of work ``w`` takes ``w / r_q`` time units).  A
 the dispatch rule used by the engine: a ready task goes to the instance of its
 type with the least pending work (join-the-shortest-queue in work units).
 
-Selection is *indexed* for large groups: types renting at least
-:data:`HEAP_MIN_GROUP` instances keep a lazily-invalidated heap keyed on
-``(pending_work, instance_id)``.  Every time such an instance's pending work
-changes it pushes its new key; :meth:`ProcessorPool.select_instance` peeks the
-heap top and discards entries whose recorded key no longer matches the
-instance's current pending work.  Because the key includes the unique instance
-id, the heap top is exactly the instance the linear least-loaded scan would
-have chosen.  Small groups — the common case, where a direct walk over the
-instances is cheaper than heap maintenance — and any selection inside an open
-failure window (the availability filter must inspect every candidate) fall
-back to the scan, which survives as
-:meth:`ProcessorPool.select_instance_scan` and doubles as the reference
-implementation in the heap-equivalence tests.
+The pool holds the state; the engine's hot loop mutates it directly (queues,
+pending work, service start and completion).  Types renting at least
+:data:`HEAP_MIN_GROUP` instances get a lazily-invalidated selection heap keyed
+on ``(pending_work, instance_id)``: the loop pushes an instance's new key each
+time its pending work changes, and discards a top entry whose recorded key no
+longer matches the instance's current pending work.  Because the key includes
+the unique instance id, the heap top is exactly the instance the linear
+least-loaded scan would choose.  Small groups — the common case, where a
+direct walk over the instances is cheaper than heap maintenance — are walked
+directly, and any selection inside an open failure window (the availability
+filter must inspect every candidate) runs :meth:`ProcessorPool.select_instance`,
+the linear scan.
 
 Scenario injection (:mod:`repro.simulation.scenarios`) hooks in at two points:
 per-type *slowdown* factors scale the instance service rates at pool
@@ -35,8 +34,7 @@ unaffected majority of dispatches.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Deque, Iterable, Mapping, NamedTuple, Sequence
+from typing import Deque, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,27 +44,13 @@ from ..core.platform import CloudPlatform
 from ..core.task import TaskType
 from .scenarios import FailureWindow
 
-__all__ = ["HEAP_MIN_GROUP", "PendingTask", "ProcessorInstance", "ProcessorPool"]
+__all__ = ["HEAP_MIN_GROUP", "ProcessorInstance", "ProcessorPool"]
 
 #: Smallest per-type instance count for which the heap index is built.  Below
 #: this a direct least-loaded walk is faster than heap maintenance (two key
 #: pushes plus amortised stale pops per served task); the break-even sits
 #: around eight instances for CPython's heapq.
 HEAP_MIN_GROUP = 9
-
-
-class PendingTask(NamedTuple):
-    """A (data set, task) pair waiting for or receiving service.
-
-    A ``NamedTuple`` rather than a frozen dataclass: it makes the pool API
-    self-describing while staying a plain tuple — the engine's hot loop only
-    ever builds and indexes bare ``(dataset_id, task_id, work)`` tuples, which
-    unpack and index identically.
-    """
-
-    dataset_id: int
-    task_id: int
-    work: float
 
 
 class ProcessorInstance:
@@ -80,7 +64,6 @@ class ProcessorInstance:
         "current",
         "busy_until",
         "busy_time",
-        "completed_tasks",
         "_pending_work",
         "unavailable",
         "guard_until",
@@ -94,11 +77,11 @@ class ProcessorInstance:
         self.instance_id = instance_id
         self.type_id = type_id
         self.throughput = float(throughput)
-        self.queue: Deque = deque()
-        self.current: PendingTask | None = None
+        # queued and in-service tasks are bare (dataset_id, task_id, work) tuples
+        self.queue: Deque[tuple[int, int, float]] = deque()
+        self.current: tuple[int, int, float] | None = None
         self.busy_until: float = 0.0
         self.busy_time: float = 0.0
-        self.completed_tasks: int = 0
         # incremental accumulator behind the pending_work property: the
         # dispatch rule reads it on every ready task, so it must be O(1),
         # not a re-sum of the whole queue
@@ -113,8 +96,8 @@ class ProcessorInstance:
         # (dedupes RESUME events; None = nothing scheduled)
         self.wake_at: float | None = None
         # the owning pool's selection heap when the instance's type group is
-        # heap-indexed (None for small groups and standalone instances);
-        # enqueue/finish push the updated (pending_work, id) key
+        # heap-indexed (None for small groups and standalone instances); the
+        # engine pushes the updated (pending_work, id) key on every change
         self._heap: list | None = None
 
     # ------------------------------------------------------------------ #
@@ -122,20 +105,13 @@ class ProcessorInstance:
     def pending_work(self) -> float:
         """Work units queued on this instance (including the task in service).
 
-        Maintained incrementally on enqueue/finish — summing the deque here
-        would make every dispatch O(queue length).  The accumulator snaps
-        back to exactly ``0.0`` whenever the instance drains, so float
-        cancellation error cannot build up across a long simulation.
+        The engine maintains it incrementally on dispatch and completion —
+        summing the deque here would make every dispatch O(queue length).
+        The accumulator snaps back to exactly ``0.0`` whenever the instance
+        drains, so float cancellation error cannot build up across a long
+        simulation.
         """
         return self._pending_work
-
-    @property
-    def is_idle(self) -> bool:
-        return self.current is None
-
-    def service_time(self, task: PendingTask) -> float:
-        """Time needed to serve ``task`` on this instance."""
-        return task.work / self.throughput
 
     # -- availability (failure windows) --------------------------------- #
     def set_unavailable(self, windows: Iterable[tuple[float, float]]) -> None:
@@ -162,48 +138,6 @@ class ProcessorInstance:
             if at < end:
                 at = end
         return at
-
-    # ------------------------------------------------------------------ #
-    def enqueue(self, task: PendingTask) -> None:
-        self.queue.append(task)
-        work = self._pending_work + task.work
-        self._pending_work = work
-        if self._heap is not None:
-            heappush(self._heap, (work, self.instance_id, self))
-
-    def start_next(self, now: float) -> tuple[PendingTask, float] | None:
-        """Start serving the next queued task; return (task, completion time).
-
-        Returns ``None`` when there is nothing to start, a task is already in
-        service, or the instance is inside a failure window (the engine then
-        schedules a wake-up at :meth:`next_available`).
-        """
-        if self.current is not None or not self.queue:
-            return None
-        if now < self.guard_until and not self.available_at(now):
-            return None
-        task = self.queue.popleft()
-        duration = task.work / self.throughput
-        self.current = task
-        self.busy_until = now + duration
-        self.busy_time += duration
-        return task, self.busy_until
-
-    def finish_current(self, now: float) -> PendingTask:
-        """Mark the in-service task as finished and return it."""
-        task = self.current
-        if task is None:
-            raise SimulationError(f"instance {self.instance_id} has no task in service at t={now}")
-        self.current = None
-        self.completed_tasks += 1
-        work = self._pending_work - task[2]
-        if not self.queue:
-            # drained: pin the accumulator to the exact re-summed value (zero)
-            work = 0.0
-        self._pending_work = work
-        if self._heap is not None:
-            heappush(self._heap, (work, self.instance_id, self))
-        return task
 
     def utilization(self, horizon: float) -> float:
         """Fraction of the horizon this instance spent serving tasks.
@@ -251,8 +185,8 @@ class ProcessorPool:
     ) -> None:
         self.platform = platform
         self._by_type: dict[TaskType, list[ProcessorInstance]] = {}
-        # lazily-invalidated selection heaps, only for heap-indexed groups
-        # (len >= HEAP_MIN_GROUP); small groups use the direct scan
+        # lazily-invalidated selection heaps the engine keeps, only for
+        # heap-indexed groups (len >= HEAP_MIN_GROUP); small groups are walked
         self._heaps: dict[TaskType, list] = {}
         instance_id = 0
         for type_id, count in allocation.machines.items():
@@ -275,8 +209,7 @@ class ProcessorPool:
         # for failure-free scenarios (the common case)
         self._any_unavailable = False
         # per-type end of the last failure window: selections for a type past
-        # its bound (or never affected, bound 0.0) use the index/scan without
-        # the availability filter
+        # its bound (or never affected, bound 0.0) need no availability filter
         self._type_guard: dict[TaskType, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -331,39 +264,11 @@ class ProcessorPool:
     def select_instance(self, type_id: TaskType, now: float | None = None) -> ProcessorInstance:
         """Dispatch rule: the instance of ``type_id`` with the least pending work.
 
-        Heap-indexed groups peek the per-type heap, lazily discarding entries
-        whose recorded ``(pending_work, instance_id)`` key is stale.  An entry
-        matching the instance's *current* pending work is its live key no
-        matter when it was pushed, and since instance ids are unique the heap
-        top equals the linear scan's ``min`` exactly.  Small groups, and any
-        selection while the type's failure window is open (``now`` before the
-        type's guard bound — the availability filter must inspect every
-        candidate), run the scan instead.
-
-        With ``now`` given, instances inside a failure window are excluded —
-        unless every instance of the type is down, in which case the work
-        queues on the least-loaded failed instance and starts when its window
-        ends.
+        A linear scan, ties broken by the lower instance id.  With ``now``
+        given, instances inside a failure window are excluded — unless every
+        instance of the type is down, in which case the work queues on the
+        least-loaded failed instance and starts when its window ends.
         """
-        if (
-            self._any_unavailable
-            and now is not None
-            and now < self._type_guard.get(type_id, 0.0)
-        ):
-            return self.select_instance_scan(type_id, now)
-        heap = self._heaps.get(type_id)
-        if heap is None:
-            return self.select_instance_scan(type_id, now)
-        while True:
-            entry = heap[0]
-            if entry[0] == entry[2]._pending_work:
-                return entry[2]
-            heappop(heap)
-
-    def select_instance_scan(
-        self, type_id: TaskType, now: float | None = None
-    ) -> ProcessorInstance:
-        """The linear least-loaded scan (small groups, failure windows, tests)."""
         candidates = self._by_type.get(type_id)
         if not candidates:
             raise SimulationError(

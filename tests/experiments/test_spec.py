@@ -95,6 +95,16 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="typo_field"):
             StudySpec.from_dict(data)
 
+    @pytest.mark.parametrize("field", ["horizons", "rate_multipliers"])
+    @pytest.mark.parametrize("token", ["Infinity", "NaN"])
+    def test_non_finite_horizon_or_multiplier_rejected(self, field, token):
+        # json.loads accepts these tokens; an infinite horizon or multiplier
+        # would start a simulation that never ends
+        data = json.loads(json.dumps(tiny_spec().as_dict()))
+        data["validation"][field] = [json.loads(token)]
+        with pytest.raises(ConfigurationError, match="finite"):
+            StudySpec.from_dict(data)
+
     def test_unknown_algorithm_field_rejected(self):
         data = tiny_spec().as_dict()
         data["algorithms"][0]["iterations"] = 10  # belongs under "params"

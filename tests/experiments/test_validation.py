@@ -139,6 +139,11 @@ class TestPlanFromSweep:
             plan_from_sweep(captured_sweep, horizons=(0.0,))
         with pytest.raises(ConfigurationError):
             plan_from_sweep(captured_sweep, rate_multipliers=(-1.0,))
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                plan_from_sweep(captured_sweep, horizons=(bad,))
+            with pytest.raises(ConfigurationError, match="finite"):
+                plan_from_sweep(captured_sweep, rate_multipliers=(bad,))
         with pytest.raises(ConfigurationError):
             plan_from_sweep(captured_sweep, warmup_fraction=1.0)
 

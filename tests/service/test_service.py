@@ -196,6 +196,27 @@ class TestEndpoints:
         )
         assert status == 400 and "invalid study spec" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "validation",
+        ['{"horizons": [Infinity]}', '{"horizons": [NaN]}', '{"rate_multipliers": [Infinity]}'],
+    )
+    def test_non_finite_validation_axis_is_a_bad_request(self, tmp_path, validation):
+        # router-level, with the job pool held back: a study the spec lets
+        # through would queue a simulation that never ends
+        from repro.service.errors import BadRequest
+
+        metrics = ServiceMetrics()
+        manager = JobManager(tmp_path / "state", jobs=1, metrics=metrics)
+        try:
+            manager._stopping.set()
+            body = json.dumps({**tiny_spec_dict(), "validation": "VALIDATION"})
+            body = body.replace('"VALIDATION"', validation).encode()
+            with pytest.raises(BadRequest, match="finite"):
+                Router(manager, metrics).dispatch("POST", "/v1/studies", body)
+            assert manager.list_jobs() == []
+        finally:
+            manager.shutdown()
+
     @pytest.mark.parametrize("length", ["abc", "-5", "1e3", " "])
     def test_malformed_content_length_is_a_bad_request(self, service, length):
         status, payload = raw_post(service, {"Content-Length": length})

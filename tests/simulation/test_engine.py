@@ -72,6 +72,16 @@ class TestStreamSimulator:
         with pytest.raises(SimulationError):
             StreamSimulator(illustrating_problem_70, allocation).run(horizon=0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_horizon_and_rate_rejected(self, illustrating_problem_70, bad):
+        # an infinite horizon never ends on the deterministic stream (every
+        # n / rate <= inf); max_datasets bounds the run should one start
+        allocation = illustrating_problem_70.allocation_for([10, 30, 30])
+        with pytest.raises(SimulationError, match="finite"):
+            StreamSimulator(illustrating_problem_70, allocation).run(bad, max_datasets=5)
+        with pytest.raises(SimulationError, match="finite"):
+            StreamSimulator(illustrating_problem_70, allocation, arrival_rate=bad)
+
     def test_invalid_warmup_rejected(self, illustrating_problem_70):
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
         with pytest.raises(SimulationError):
@@ -122,19 +132,6 @@ class TestStreamSimulator:
         peak = report.metadata["peak_in_flight"]
         assert peak < 100  # a small multiple of the pipeline depth, not O(arrivals)
         assert report.backlog <= peak
-
-    def test_reorder_buffer_releases_in_arrival_order(self):
-        from repro.simulation import ReorderBuffer
-
-        buffer = ReorderBuffer()
-        released: list[int] = []
-        # completions arrive shuffled; releases must come out 0,1,2,...
-        for dataset_id in (2, 0, 1, 4, 5, 3):
-            released.extend(buffer.complete(dataset_id))
-        assert released == [0, 1, 2, 3, 4, 5]
-        assert buffer.occupancy == 0
-        assert buffer.released == 6
-        assert buffer.peak_occupancy == 3  # {3, 4, 5} held while waiting for 3
 
     def test_long_horizon_arrival_count_is_drift_free(self, illustrating_problem_70):
         # arrival n is scheduled at exactly n / rate (computed by index):

@@ -1,17 +1,24 @@
-"""Fast-engine/reference-engine equivalence and hot-path regression tests.
+"""Library engine/reference oracle equivalence and hot-path regression tests.
 
-The optimized engine is only allowed to exist because it is *byte-identical*
-to the reference loop: both push events in the same order, so every report
-field matches exactly — which is what keeps validation records identical to
-pre-optimization checkpoints.  These tests pin that contract across the
-scenario matrix (stochastic arrivals, slowdowns, seeded failure windows,
-``max_datasets`` caps) and the selection-strategy boundary (direct walk for
-small instance groups, lazy heap for groups of ``HEAP_MIN_GROUP`` and up).
+The library's inlined loop is only allowed to exist because it is
+*byte-identical* to the reference loop in ``oracle.py``: both push events in
+the same order, so every report field matches exactly — which is what keeps
+validation records identical to pre-optimization checkpoints.  These tests pin
+that contract across the scenario matrix (stochastic arrivals, slowdowns,
+seeded failure windows, ``max_datasets`` caps) and the selection-strategy
+boundary (direct walk for small instance groups, lazy heap for groups of
+``HEAP_MIN_GROUP`` and up).
 """
 
-import itertools
-
 import pytest
+from oracle import (
+    DataSetInstance,
+    EventKind,
+    EventQueue,
+    PendingTask,
+    ReferenceSimulator,
+    enqueue,
+)
 
 from repro.core import (
     Allocation,
@@ -30,8 +37,7 @@ from repro.simulation import (
     ScenarioSpec,
     StreamSimulator,
 )
-from repro.simulation.processor import HEAP_MIN_GROUP
-from repro.simulation.stream import DataSetInstance
+from repro.simulation.processor import HEAP_MIN_GROUP, ProcessorPool
 
 SCENARIOS = [
     ScenarioSpec(),
@@ -56,10 +62,10 @@ SCENARIOS = [
 
 
 def _comparable(report):
-    """The report with the fast engine's diagnostic counters stripped.
+    """The report with the library engine's diagnostic counters stripped.
 
-    ``metadata["event_counters"]`` is instrumentation of the fast event core
-    (the reference loop doesn't carry it), so equivalence compares everything
+    ``metadata["event_counters"]`` is instrumentation of the library's event
+    core (the oracle doesn't carry it), so equivalence compares everything
     *except* that key — which also documents that the counters are diagnostic
     metadata, never record content.
     """
@@ -71,10 +77,8 @@ def _comparable(report):
 
 def _both(problem, allocation, *, scenario, seed, horizon, max_datasets=None, **kw):
     reports = []
-    for engine in ("fast", "reference"):
-        sim = StreamSimulator(
-            problem, allocation, scenario=scenario, seed=seed, engine=engine, **kw
-        )
+    for engine in (StreamSimulator, ReferenceSimulator):
+        sim = engine(problem, allocation, scenario=scenario, seed=seed, **kw)
         reports.append(_comparable(sim.run(horizon=horizon, max_datasets=max_datasets)))
     return reports
 
@@ -131,10 +135,10 @@ class TestEngineEquivalence:
 
 
 class TestEventCounters:
-    def test_fast_engine_reports_event_core_counters(self, illustrating_problem_70):
-        """The fast engine publishes heappush/heappop/dispatch-scan totals in
-        report metadata — the numbers the ROADMAP's calendar-queue question
-        needs — while the reference engine stays counter-free."""
+    def test_engine_reports_event_core_counters(self, illustrating_problem_70):
+        """The library engine publishes heappush/heappop/dispatch-scan totals
+        in report metadata — the numbers the ROADMAP's calendar-queue question
+        needs — while the oracle stays counter-free."""
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
         sim = StreamSimulator(
             illustrating_problem_70, allocation, scenario=SCENARIOS[3], seed=1
@@ -145,9 +149,8 @@ class TestEventCounters:
         assert counters["heappush"] >= counters["heappop"] > 0
         assert counters["dispatch_scan"] > 0
 
-        reference = StreamSimulator(
-            illustrating_problem_70, allocation,
-            scenario=SCENARIOS[3], seed=1, engine="reference",
+        reference = ReferenceSimulator(
+            illustrating_problem_70, allocation, scenario=SCENARIOS[3], seed=1
         ).run(horizon=8.0)
         assert "event_counters" not in reference.metadata
 
@@ -156,17 +159,14 @@ class TestWakeDedupe:
     def test_repeated_dispatches_schedule_one_resume(self, illustrating_problem_70):
         """Several dispatches inside one failure window must not pile up
         RESUME events — ``wake_at`` dedupes to one wake-up per window end."""
-        from repro.simulation import EventKind, EventQueue, PendingTask
-        from repro.simulation.processor import ProcessorPool
-
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
         pool = ProcessorPool(illustrating_problem_70.platform, allocation)
         instance = pool.instances_of(1)[0]
         instance.set_unavailable([(0.0, 5.0)])
-        simulator = StreamSimulator(illustrating_problem_70, allocation)
+        simulator = ReferenceSimulator(illustrating_problem_70, allocation)
         queue = EventQueue()
         for task_id in range(4):
-            instance.enqueue(PendingTask(0, task_id, 1.0))
+            enqueue(instance, PendingTask(0, task_id, 1.0))
             simulator._start_or_wake(queue, instance, now=1.0)
         events = [queue.pop() for _ in range(len(queue))]
         resumes = [e for e in events if e.kind == EventKind.RESUME]
@@ -178,7 +178,7 @@ class TestWakeDedupe:
         self, illustrating_problem_70
     ):
         """End-to-end: a window over the busiest type forces queued work to
-        wake exactly once per instance, identically in both engines."""
+        wake exactly once per instance, identically in the engine and the oracle."""
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
         scenario = ScenarioSpec(
             name="stall",
@@ -202,7 +202,7 @@ class TestHotPathRegressions:
             self.completion_time = None
             return newly_ready
 
-        simulator = StreamSimulator(illustrating_problem_70, allocation, engine="reference")
+        simulator = ReferenceSimulator(illustrating_problem_70, allocation)
         try:
             DataSetInstance.complete_task = no_stamp
             with pytest.raises(SimulationError, match="without a completion timestamp"):
@@ -213,8 +213,8 @@ class TestHotPathRegressions:
     def test_negative_first_arrival_rejected_at_schedule_boundary(
         self, illustrating_problem_70
     ):
-        """Time validation moved from EventQueue.push to the schedule
-        boundary: a misbehaving arrival process is caught at the first draw."""
+        """Event times are validated at the schedule boundary, not per push:
+        a misbehaving arrival process is caught at the first draw."""
 
         class NegativeArrivals(PoissonArrivals):
             def times(self, rate, rng):
@@ -222,17 +222,16 @@ class TestHotPathRegressions:
                 yield from super().times(rate, rng)
 
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
-        for engine in ("fast", "reference"):
-            simulator = StreamSimulator(
+        for engine in (StreamSimulator, ReferenceSimulator):
+            simulator = engine(
                 illustrating_problem_70,
                 allocation,
                 scenario=ScenarioSpec(name="neg", arrival=NegativeArrivals()),
-                engine=engine,
             )
             with pytest.raises(SimulationError, match="negative"):
                 simulator.run(horizon=5.0)
 
-    def test_unknown_engine_rejected(self, illustrating_problem_70):
+    def test_engine_option_is_gone(self, illustrating_problem_70):
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
-        with pytest.raises(SimulationError, match="unknown engine"):
-            StreamSimulator(illustrating_problem_70, allocation, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            StreamSimulator(illustrating_problem_70, allocation, engine="reference")

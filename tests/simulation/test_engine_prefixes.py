@@ -2,11 +2,11 @@
 
 ``StreamSimulator.run(horizon, prefixes=...)`` runs the stream once, to
 ``horizon``, and snapshots a report each time the loop passes a prefix.  Each
-of those reports must equal the report of a separate ``run(prefix)`` — on the
-fast engine and on the reference engine, the oracle — because the events up
-to a horizon are the same events in the same ``(time, seq)`` order however
-far the run goes on.  Validation campaigns rely on this to simulate every
-stream once for all of a plan's horizons.
+of those reports must equal the report of a separate ``run(prefix)`` — of the
+library engine and of the reference oracle — because the events up to a
+horizon are the same events in the same ``(time, seq)`` order however far the
+run goes on.  Validation campaigns rely on this to simulate every stream once
+for all of a plan's horizons.
 """
 
 from dataclasses import dataclass, replace
@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import ReferenceSimulator
 
+from repro.analysis.fluid import _critical_path_time
 from repro.core import (
     Application,
     CloudPlatform,
@@ -47,7 +49,7 @@ class DelayedArrivals(DeterministicArrivals):
 
 
 def _comparable(report):
-    """The report without the fast engine's per-pass metadata."""
+    """The report without the library engine's per-pass metadata."""
     metadata = {
         key: value
         for key, value in report.metadata.items()
@@ -123,35 +125,46 @@ class TestPrefixReports:
         problem, allocation, scenario, seed, rate, horizon, prefixes, max_datasets = case
 
         def simulator(engine):
-            return StreamSimulator(
-                problem, allocation, arrival_rate=rate, scenario=scenario,
-                seed=seed, engine=engine,
+            return engine(
+                problem, allocation, arrival_rate=rate, scenario=scenario, seed=seed
             )
 
-        full = simulator("fast").run(horizon, max_datasets=max_datasets, prefixes=prefixes)
+        # no data set finishes faster than the quickest critical path among
+        # the recipes it can be routed to, at the rates after slowdowns
+        slowdowns = scenario.slowdown_map()
+        rates = {
+            t: problem.platform.throughput_of(t) * slowdowns.get(t, 1.0) for t in TYPES
+        }
+        shortest_path = min(
+            _critical_path_time(recipe, rates)
+            for recipe, weight in zip(problem.application.recipes(), allocation.split.values)
+            if weight > 0
+        )
+
+        full = simulator(StreamSimulator).run(
+            horizon, max_datasets=max_datasets, prefixes=prefixes
+        )
         reports = [*full.metadata.get("prefix_reports", ()), full]
         assert [report.horizon for report in reports] == [*prefixes, horizon]
         assert "event_counters" in full.metadata
         for report in reports:
-            for engine in ("fast", "reference"):
+            for engine in (StreamSimulator, ReferenceSimulator):
                 alone = simulator(engine).run(report.horizon, max_datasets=max_datasets)
                 assert _comparable(report) == _comparable(alone)
             assert report.arrivals == report.completed + report.backlog
             assert all(0.0 <= value <= 1.0 for value in report.utilization.values())
+            if report.completed > 0:
+                assert report.mean_latency >= shortest_path * (1 - 1e-9)
 
-    def test_reference_engine_reports_prefixes_from_separate_passes(
-        self, illustrating_problem_70
-    ):
+    def test_prefix_reports_equal_oracle_runs(self, illustrating_problem_70):
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])
-        reports = {}
-        for engine in ("fast", "reference"):
-            full = StreamSimulator(
-                illustrating_problem_70, allocation, engine=engine
-            ).run(8.0, prefixes=(2.0, 5.0))
-            reports[engine] = [
-                _comparable(report) for report in (*full.metadata["prefix_reports"], full)
-            ]
-        assert reports["fast"] == reports["reference"]
+        full = StreamSimulator(illustrating_problem_70, allocation).run(
+            8.0, prefixes=(2.0, 5.0)
+        )
+        oracle = ReferenceSimulator(illustrating_problem_70, allocation)
+        assert [
+            _comparable(report) for report in (*full.metadata["prefix_reports"], full)
+        ] == [_comparable(oracle.run(horizon)) for horizon in (2.0, 5.0, 8.0)]
 
     def test_single_horizon_run_carries_no_prefix_reports(self, illustrating_problem_70):
         allocation = illustrating_problem_70.allocation_for([10, 30, 30])

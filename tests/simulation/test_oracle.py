@@ -1,10 +1,16 @@
-"""Tests for data-set instances, recipe routing and the reorder buffer."""
+"""Tests for the reference oracle's own parts: event queue, data-set
+instances, recipe routing and the reorder buffer.
+
+The equivalence suites compare the library engine against the oracle as a
+whole; these pin the pieces, so a fault in the oracle cannot hide behind a
+matching fault in the engine.
+"""
 
 import numpy as np
 import pytest
+from oracle import DataSetInstance, EventKind, EventQueue, RecipeRouter, ReorderBuffer
 
 from repro.core import RecipeGraph, SimulationError, Task, ThroughputSplit
-from repro.simulation import DataSetInstance, RecipeRouter, ReorderBuffer
 
 
 def diamond_recipe() -> RecipeGraph:
@@ -16,6 +22,31 @@ def diamond_recipe() -> RecipeGraph:
     recipe.add_edge(1, 3)
     recipe.add_edge(2, 3)
     return recipe
+
+
+class TestEventQueue:
+    def test_events_pop_in_time_order(self):
+        queue = EventQueue()
+        queue.push(5.0, EventKind.ARRIVAL, 1)
+        queue.push(1.0, EventKind.ARRIVAL, 0)
+        queue.push(3.0, EventKind.TASK_COMPLETE)
+        times = [queue.pop().time for _ in range(3)]
+        assert times == [1.0, 3.0, 5.0]
+
+    def test_many_way_ties_pop_in_push_order(self):
+        queue = EventQueue()
+        for tag in range(20):
+            queue.push(1.0, EventKind.TASK_COMPLETE, tag)
+        # interleave an earlier and later event: ordering is (time, sequence)
+        queue.push(0.5, EventKind.ARRIVAL, "early")
+        queue.push(2.0, EventKind.ARRIVAL, "late")
+        assert queue.pop().arg == "early"
+        assert [queue.pop().arg for _ in range(20)] == list(range(20))
+        assert queue.pop().arg == "late"
+
+    def test_pop_empty_rejected(self):
+        with pytest.raises(SimulationError):
+            EventQueue().pop()
 
 
 class TestDataSetInstance:
@@ -111,6 +142,17 @@ class TestReorderBuffer:
         assert buffer.complete(0) == [0, 1, 2]
         assert buffer.peak_occupancy == 3
         assert buffer.occupancy == 0
+
+    def test_releases_in_arrival_order(self):
+        buffer = ReorderBuffer()
+        released: list[int] = []
+        # completions arrive shuffled; releases must come out 0,1,2,...
+        for dataset_id in (2, 0, 1, 4, 5, 3):
+            released.extend(buffer.complete(dataset_id))
+        assert released == [0, 1, 2, 3, 4, 5]
+        assert buffer.occupancy == 0
+        assert buffer.released == 6
+        assert buffer.peak_occupancy == 3  # {3, 4, 5} held while waiting for 3
 
     def test_duplicate_completion_rejected(self):
         buffer = ReorderBuffer()

@@ -1,93 +1,40 @@
-"""Tests for the event queue and processor pool of the stream simulator."""
+"""Tests for the processor instances and pool of the stream simulator.
+
+The engine's loop drives instance service inline; the tests drive it through
+the reference oracle's ``enqueue`` / ``start_next`` / ``finish_current``.
+"""
 
 import pytest
+from oracle import PendingTask, enqueue, finish_current, start_next
 
-from repro.core import Allocation, SimulationError, ThroughputSplit
-from repro.simulation import EventKind, EventQueue, PendingTask, ProcessorInstance, ProcessorPool
-
-
-class TestEventQueue:
-    def test_events_pop_in_time_order(self):
-        queue = EventQueue()
-        queue.push(5.0, EventKind.ARRIVAL, 1)
-        queue.push(1.0, EventKind.ARRIVAL, 0)
-        queue.push(3.0, EventKind.TASK_COMPLETE)
-        times = [queue.pop().time for _ in range(3)]
-        assert times == [1.0, 3.0, 5.0]
-
-    def test_ties_break_by_insertion_order(self):
-        # deterministic tie-break: equal-time events pop in push order
-        queue = EventQueue()
-        first = queue.push(2.0, EventKind.ARRIVAL, "a")
-        second = queue.push(2.0, EventKind.ARRIVAL, "b")
-        assert queue.pop().arg == "a"
-        assert queue.pop().arg == "b"
-        assert first.sequence < second.sequence
-
-    def test_many_way_ties_pop_in_push_order(self):
-        queue = EventQueue()
-        for tag in range(20):
-            queue.push(1.0, EventKind.TASK_COMPLETE, tag)
-        # interleave an earlier and later event: ordering is (time, sequence)
-        queue.push(0.5, EventKind.ARRIVAL, "early")
-        queue.push(2.0, EventKind.ARRIVAL, "late")
-        assert queue.pop().arg == "early"
-        assert [queue.pop().arg for _ in range(20)] == list(range(20))
-        assert queue.pop().arg == "late"
-
-    def test_push_does_not_validate_time(self):
-        # time validity is a schedule-boundary invariant (the engine checks
-        # arrivals as it draws them); push itself spends no comparison on it
-        queue = EventQueue()
-        event = queue.push(-1.0, EventKind.ARRIVAL)
-        assert queue.pop() is event
-
-    def test_events_are_plain_tuples(self):
-        # the engine's hot loop indexes events positionally
-        event = EventQueue().push(3.0, EventKind.RESUME, "arg")
-        assert tuple(event) == (3.0, 0, EventKind.RESUME, "arg")
-        assert event[0] == event.time and event[3] == event.arg
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_peek_and_len(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None and not queue
-        queue.push(4.0, EventKind.ARRIVAL)
-        assert queue.peek_time() == 4.0 and len(queue) == 1
+from repro.core import Allocation, SimulationError
+from repro.simulation import ProcessorInstance, ProcessorPool
 
 
 class TestProcessorInstance:
-    def test_service_time_follows_throughput(self):
-        instance = ProcessorInstance(0, 1, throughput=4.0)
-        assert instance.service_time(PendingTask(0, 0, work=1.0)) == 0.25
-        assert instance.service_time(PendingTask(0, 0, work=2.0)) == 0.5
-
     def test_fifo_processing(self):
         instance = ProcessorInstance(0, 1, throughput=1.0)
-        instance.enqueue(PendingTask(0, 0, 1.0))
-        instance.enqueue(PendingTask(1, 0, 1.0))
-        task, done = instance.start_next(0.0)
+        enqueue(instance, PendingTask(0, 0, 1.0))
+        enqueue(instance, PendingTask(1, 0, 1.0))
+        task, done = start_next(instance, 0.0)
         assert task.dataset_id == 0 and done == 1.0
-        assert instance.start_next(0.0) is None  # busy
-        finished = instance.finish_current(1.0)
+        assert start_next(instance, 0.0) is None  # busy
+        finished = finish_current(instance, 1.0)
         assert finished.dataset_id == 0
-        task, done = instance.start_next(1.0)
+        task, done = start_next(instance, 1.0)
         assert task.dataset_id == 1 and done == 2.0
 
     def test_finish_without_current_rejected(self):
         with pytest.raises(SimulationError):
-            ProcessorInstance(0, 1, 1.0).finish_current(0.0)
+            finish_current(ProcessorInstance(0, 1, 1.0), 0.0)
 
     def test_pending_work_and_utilization(self):
         instance = ProcessorInstance(0, 1, throughput=2.0)
-        instance.enqueue(PendingTask(0, 0, 1.0))
-        instance.enqueue(PendingTask(1, 0, 1.0))
+        enqueue(instance, PendingTask(0, 0, 1.0))
+        enqueue(instance, PendingTask(1, 0, 1.0))
         assert instance.pending_work == 2.0
-        instance.start_next(0.0)
-        instance.finish_current(0.5)
+        start_next(instance, 0.0)
+        finish_current(instance, 0.5)
         assert instance.utilization(1.0) == 0.5
 
     def test_invalid_throughput_rejected(self):
@@ -98,8 +45,8 @@ class TestProcessorInstance:
         # a task started at t=0.5 that runs until t=2.5 only occupies the
         # instance for 0.5 of a 1.0 horizon — the overshoot must not count
         instance = ProcessorInstance(0, 1, throughput=1.0)
-        instance.enqueue(PendingTask(0, 0, work=2.0))
-        instance.start_next(0.5)
+        enqueue(instance, PendingTask(0, 0, work=2.0))
+        start_next(instance, 0.5)
         assert instance.busy_until == 2.5
         assert instance.utilization(1.0) == pytest.approx(0.5)
         # at a horizon past the completion the full service counts again
@@ -124,19 +71,19 @@ class TestProcessorInstance:
         for step in range(500):
             action = rng.integers(0, 3)
             if action == 0:
-                instance.enqueue(PendingTask(step, 0, float(rng.uniform(0.1, 3.0))))
+                enqueue(instance, PendingTask(step, 0, float(rng.uniform(0.1, 3.0))))
             elif action == 1:
-                started = instance.start_next(now)
+                started = start_next(instance, now)
                 if started is not None:
                     now = started[1]
             elif instance.current is not None:
-                instance.finish_current(now)
+                finish_current(instance, now)
             assert instance.pending_work == pytest.approx(resummed(), abs=1e-9)
         # drain completely: the accumulator snaps back to exactly zero
         while instance.current is not None or instance.queue:
             if instance.current is None:
-                now = instance.start_next(now)[1]
-            instance.finish_current(now)
+                now = start_next(instance, now)[1]
+            finish_current(instance, now)
         assert instance.pending_work == 0.0
 
     def test_dispatch_order_unchanged_by_incremental_accumulator(
@@ -154,11 +101,11 @@ class TestProcessorInstance:
             )
             chosen = pool.select_instance(1)
             assert chosen is expected
-            chosen.enqueue(PendingTask(step, 0, float(rng.uniform(0.5, 2.0))))
+            enqueue(chosen, PendingTask(step, 0, float(rng.uniform(0.5, 2.0))))
             if step % 3 == 0:
-                chosen.start_next(float(step))
+                start_next(chosen, float(step))
             if step % 5 == 0 and chosen.current is not None:
-                chosen.finish_current(float(step))
+                finish_current(chosen, float(step))
 
     def test_availability_windows(self):
         instance = ProcessorInstance(0, 1, throughput=1.0)
@@ -175,9 +122,9 @@ class TestProcessorInstance:
     def test_start_next_refuses_inside_failure_window(self):
         instance = ProcessorInstance(0, 1, throughput=1.0)
         instance.set_unavailable([(1.0, 3.0)])
-        instance.enqueue(PendingTask(0, 0, 1.0))
-        assert instance.start_next(2.0) is None
-        task, done = instance.start_next(3.0)
+        enqueue(instance, PendingTask(0, 0, 1.0))
+        assert start_next(instance, 2.0) is None
+        task, done = start_next(instance, 3.0)
         assert task.dataset_id == 0 and done == 4.0
 
     def test_utilization_exact_at_full_load(self):
@@ -186,10 +133,10 @@ class TestProcessorInstance:
         instance = ProcessorInstance(0, 1, throughput=1.0)
         now = 0.0
         for i in range(3):
-            instance.enqueue(PendingTask(i, 0, work=1.0))
+            enqueue(instance, PendingTask(i, 0, work=1.0))
         for _ in range(3):
-            _task, done = instance.start_next(now)
-            instance.finish_current(done)
+            _task, done = start_next(instance, now)
+            finish_current(instance, done)
             now = done
         assert instance.utilization(3.0) == pytest.approx(1.0)
 
@@ -209,7 +156,7 @@ class TestProcessorPool:
     def test_select_instance_prefers_least_loaded(self, illustrating_app, illustrating_cloud):
         pool = self.build_pool(illustrating_app, illustrating_cloud)
         first = pool.select_instance(1)
-        first.enqueue(PendingTask(0, 0, 5.0))
+        enqueue(first, PendingTask(0, 0, 5.0))
         second = pool.select_instance(1)
         assert second is not first
 
@@ -270,7 +217,7 @@ class TestProcessorPool:
         assert len(healthy) == 1
         assert pool.select_instance(1, 2.0) is healthy[0]
         # outside the window the normal least-loaded rule applies again
-        healthy[0].enqueue(PendingTask(0, 0, 50.0))
+        enqueue(healthy[0], PendingTask(0, 0, 50.0))
         assert pool.select_instance(1, 6.0) is not healthy[0]
         # with every instance down, work still queues on the least loaded one
         pool2 = self.build_pool(illustrating_app, illustrating_cloud)

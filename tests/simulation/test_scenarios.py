@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import SimulationError, ThroughputSplit
+from repro.core import SimulationError
 from repro.simulation import (
     DEFAULT_SCENARIO,
     BatchArrivals,
@@ -13,7 +13,6 @@ from repro.simulation import (
     DeterministicArrivals,
     FailureWindow,
     PoissonArrivals,
-    RecipeRouter,
     ScenarioSpec,
     StreamSimulator,
     arrival_process_from_dict,
@@ -268,14 +267,23 @@ class TestScenarioSimulation:
             assert report.recipe_mix[0] == 0.0
             assert report.recipe_mix[1] == pytest.approx(0.5, abs=0.05)
 
-    def test_zero_weight_router_stride_is_arrival_time_independent(self):
+    def test_zero_weight_router_stride_is_arrival_time_independent(
+        self, illustrating_problem_70
+    ):
         # the router sees only the arrival order, so a zero-weight recipe is
-        # skipped identically however bursty the timestamps are
-        router = RecipeRouter(ThroughputSplit.from_sequence([0, 10, 30]))
-        counts = [0, 0, 0]
-        for _ in range(40):
-            counts[router.route()] += 1
-        assert counts == [0, 10, 30]
+        # skipped identically however bursty the timestamps are: 40 data sets
+        # split [0, 10, 30] exactly
+        allocation = illustrating_problem_70.allocation_for([0, 10, 30])
+        for scenario in (
+            None,
+            ScenarioSpec(name="bursty", arrival=BurstyArrivals(on=1.0, off=1.0)),
+            ScenarioSpec(name="batch", arrival=BatchArrivals(size=4)),
+        ):
+            report = StreamSimulator(
+                illustrating_problem_70, allocation, scenario=scenario, seed=3
+            ).run(horizon=5.0, max_datasets=40)
+            assert report.arrivals == 40
+            assert report.recipe_mix == (0.0, 0.25, 0.75)
 
 
 class TestWarmupMeasurement:
